@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_triangular
 
 __all__ = [
@@ -426,8 +427,8 @@ def duality_matrix(family, rows: Basis, cols: Basis) -> np.ndarray:
 
 
 def check_intertwiner(
-    K: np.ndarray,
-    K_hat: np.ndarray,
+    K: np.ndarray | sparse.sparray,
+    K_hat: np.ndarray | sparse.sparray,
     D: np.ndarray,
     *,
     rows: slice = slice(None),
@@ -437,14 +438,19 @@ def check_intertwiner(
     """Residual of the intertwining identity ``K D = D K_hat^T``.
 
     ``rows``/``cols`` select the truncation-safe block of the residual
-    matrix; callers exclude edges polluted by basis truncation.
+    matrix; callers exclude edges polluted by basis truncation.  ``K`` and
+    ``K_hat`` may be sparse (a generator's CSR ``Q``); both products are
+    then formed without a dense copy of them.
     """
-    K = np.asarray(K, dtype=float)
-    K_hat = np.asarray(K_hat, dtype=float)
+    K = K if sparse.issparse(K) else np.asarray(K, dtype=float)
+    K_hat = K_hat if sparse.issparse(K_hat) else np.asarray(K_hat, dtype=float)
     D = np.asarray(D, dtype=float)
     if K.shape[1] != D.shape[0] or D.shape[1] != K_hat.shape[1]:
         raise ValueError("dimension mismatch: need K @ D and D @ K_hat^T conformable")
-    resid = K @ D - D @ K_hat.T
+    # ndarray @ sparse.T goes through a transposed copy and the reflected
+    # product, ten times slower on small chains than the sparse product
+    DKt = (K_hat @ D.T).T if sparse.issparse(K_hat) else D @ K_hat.T
+    resid = K @ D - DKt
     block = resid[rows, cols]
     if block.size == 0:
         raise ValueError("selected block is empty")

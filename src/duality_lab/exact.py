@@ -1,12 +1,16 @@
 """Ground-truth engine: matrix exponentials and exact duality checks.
 
 Everything here is deterministic.  Expectations over finite chains go
-through the matrix exponential (scaling-and-squaring with Pade
-approximants, via scipy, backward error at the double-precision unit
-roundoff).  Generator dualities are checked as matrix identities; diffusion
-generators enter either through an exact polynomial-coefficient
-representation or through pointwise evaluation with analytic derivatives of
-the duality function (central finite differences as a fallback).
+through the action of the matrix exponential on the given columns, by one
+of two scipy routines chosen from the input (see
+:func:`matrix_exponential_apply`): dense scaling-and-squaring with Pade
+approximants (``expm``), or the truncated-Taylor action of Al-Mohy and
+Higham (``expm_multiply``) on the sparse generator, called Krylov here.
+Both work to the double-precision unit roundoff.  Generator dualities are
+checked as matrix identities; diffusion generators enter either through an
+exact polynomial-coefficient representation or through pointwise
+evaluation with analytic derivatives of the duality function (central
+finite differences as a fallback).
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -16,12 +20,14 @@ truth (see the package README).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, lgamma
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from . import algebra, processes
@@ -73,10 +79,48 @@ class ExampleRecord:
         return abs(self.closed_form_value - self.oracle_value)
 
 
-def _as_matrix(Q: GeneratorMatrix | np.ndarray) -> np.ndarray:
+def _as_matrix(Q: GeneratorMatrix | np.ndarray) -> np.ndarray | sparse.csr_array:
     if isinstance(Q, GeneratorMatrix):
         return Q.Q
     return np.asarray(Q, dtype=float)
+
+
+# Krylov is never chosen below this many states: its fixed cost of 1-5 ms
+# (norm estimates, set-up) is outside the flop model and loses to dense
+# there, e.g. 4.2 ms against 1.2 ms on the 91-state d = 3 Moran chain,
+# which the flop ratio alone would send to Krylov
+_KRYLOV_MIN_STATES = 256
+# peak n x n float64 arrays of the dense branch: the dense copy, tQ and
+# expm's own work arrays (traced at 1,000 states)
+_DENSE_EXPM_ARRAYS = 10
+
+
+def _prefers_krylov(M: np.ndarray | sparse.sparray, t: float, cols: int, transpose: bool = False) -> bool:
+    """True when ``expm_multiply`` should beat dense ``expm`` on ``exp(tA) B``.
+
+    ``A`` is ``M``, or ``M^T`` with ``transpose``; ``cols`` counts the
+    columns of ``B``.
+
+    Dense ``expm`` costs about n^3 flops whatever the entries.  The Krylov
+    action costs about ``||tA||_1 * nnz * cols`` flops: its number of
+    matrix-vector products grows with the norm.  So size alone is not the
+    rule: stiff chains such as block counting with rates n(n-1) stay dense
+    at a few hundred states, while the sparse inclusion-process sectors go
+    to Krylov.
+    """
+    n = M.shape[0]
+    if n < _KRYLOV_MIN_STATES:
+        return False
+    nnz = M.nnz if sparse.issparse(M) else np.count_nonzero(M)
+    norm1 = t * float(abs(M).sum(axis=1 if transpose else 0).max())
+    return norm1 * nnz * cols < n**3 / 8
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def matrix_exponential_apply(
@@ -86,7 +130,20 @@ def matrix_exponential_apply(
     *,
     transpose: bool = False,
 ) -> np.ndarray:
-    """Return ``expm(t Q) v`` (or ``expm(t Q^T) v`` with ``transpose``)."""
+    """Return ``expm(t Q) v`` (or ``expm(t Q^T) v`` with ``transpose``).
+
+    The method follows a cost rule on the input.  With n states, nnz
+    stored entries and ``cols`` columns in ``v``, ``expm_multiply`` runs on
+    the sparse matrix when n >= 256 and ``||tQ||_1 * nnz * cols < n^3 / 8``;
+    otherwise dense ``expm`` runs on ``Q.toarray()``.  The first is the
+    flop count of the Krylov action, the second that of dense scaling and
+    squaring.  Size alone would be the wrong rule: a 401-state block
+    counting chain runs some 50x slower under Krylov because its norm is
+    large, while a 1,771-state inclusion sector runs 25x faster.  Before
+    a dense exponential whose working set (about ten n x n float64
+    arrays) exceeds physical memory, a ``ValueError`` is raised instead of
+    allocating.
+    """
     if t < 0:
         raise ValueError("time must be non-negative")
     M = _as_matrix(Q)
@@ -95,8 +152,23 @@ def matrix_exponential_apply(
         raise ValueError("dimension mismatch")
     if t == 0:
         return v.copy()
-    A = M.T if transpose else M
-    return expm(t * A) @ v
+    if _prefers_krylov(M, t, 1 if v.ndim == 1 else v.shape[1], transpose):
+        # imported here: scipy.sparse.linalg adds ~13 ms to every start-up,
+        # and most runs never pick Krylov
+        from scipy.sparse.linalg import expm_multiply
+
+        return expm_multiply(t * (M.T if transpose else M), v)
+    n = M.shape[0]
+    need = _DENSE_EXPM_ARRAYS * 8 * n * n
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"dense matrix exponential of {n} states needs about {need} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    if sparse.issparse(M):
+        M = M.toarray()
+    return expm(t * (M.T if transpose else M)) @ v
 
 
 def exact_expectation(
@@ -105,14 +177,19 @@ def exact_expectation(
     k0: Sequence[int],
     t: float,
 ) -> ExactExpectation:
-    """E_{k0} f(X_t) for the chain with generator ``gen``."""
+    """E_{k0} f(X_t) for the chain with generator ``gen``.
+
+    ``method`` names the branch :func:`matrix_exponential_apply` takes:
+    ``"matrix-exponential"`` (dense ``expm``) or ``"expm-multiply"``.
+    """
     state = tuple(int(v) for v in k0)
     try:
         i = gen.index.pos[state]
     except KeyError:
         raise ValueError(f"state {state} is outside the enumerated space") from None
     w = matrix_exponential_apply(gen, np.asarray(f, dtype=float), t)
-    return ExactExpectation(value=float(w[i]), method="matrix-exponential", state_space_size=len(gen.index))
+    method = "expm-multiply" if _prefers_krylov(gen.Q, t, 1) else "matrix-exponential"
+    return ExactExpectation(value=float(w[i]), method=method, state_space_size=len(gen.index))
 
 
 def check_generator_duality(
@@ -273,10 +350,15 @@ def _apply_side(side, D: PointwiseDuality, u: float, w, h: float, slot: str) -> 
         if slot != "right":
             raise ValueError("jump generators act on the right slot here")
         i = side.index.pos[tuple(int(v) for v in np.atleast_1d(w))]
-        row = side.Q[i]
-        idx = np.nonzero(row)[0]
+        Q = side.Q
+        lo, hi = Q.indptr[i], Q.indptr[i + 1]
+        states = side.index.states
         return float(
-            sum(row[j] * D.value(u, side.index.states[j][0] if side.index.d == 1 else side.index.states[j]) for j in idx)
+            sum(
+                rate * D.value(u, states[j][0] if side.index.d == 1 else states[j])
+                for j, rate in zip(Q.indices[lo:hi], Q.data[lo:hi])
+                if rate
+            )
         )
     if isinstance(side, ProcessSpec):
         if not side.is_diffusion:

@@ -15,20 +15,26 @@ Covered processes:
 * the stepping-stone diffusion on a finite site set and its dual
   migration/coalescence chain (``stepping-stone-forward`` / ``-dual``).
 
-Jump chains are realized as dense rate matrices over an enumerated state
-space; diffusions expose drift/covariance coefficients and seeded
-Euler-Maruyama sampling.  Specs and generators are immutable after
-construction; samplers are pure given their random stream.
+Jump chains are realized as sparse (CSR) rate matrices over an enumerated
+state space: every chain here moves one particle or one count per jump, so
+a row holds a handful of rates however many states there are, and a dense
+n x n array would spend memory and time quadratic in n on zeros.  The
+samplers read the same rows through per-state cumulative tables.
+Diffusions expose drift/covariance coefficients and seeded Euler-Maruyama
+sampling.  Specs and generators are immutable after construction;
+samplers are pure given their random stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, floor, sqrt
+from math import comb, floor, fsum, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "ProcessSpec",
@@ -253,22 +259,30 @@ def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Dense rate matrix over an enumerated state space."""
+    """Sparse rate matrix over an enumerated state space.
 
-    Q: np.ndarray
+    ``Q`` is a ``scipy.sparse.csr_array`` with sorted column indices and the
+    diagonal stored in every row.  Call ``Q.toarray()`` where a dense copy
+    is needed.
+    """
+
+    Q: sparse.csr_array
     index: StateIndex
     conserved: str | None = None
 
     def __post_init__(self) -> None:
         Q = self.Q
         n = len(self.index)
+        if not isinstance(Q, sparse.csr_array):
+            raise TypeError("rate matrix must be a scipy.sparse.csr_array")
         if Q.shape != (n, n):
             raise ValueError("rate matrix does not match the state enumeration")
-        off = Q.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < -1e-12):
+        data, indptr = Q.data, Q.indptr
+        rows = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+        if (data[Q.indices != rows] < -1e-12).any():
             raise ValueError("negative off-diagonal rate")
-        if np.any(np.abs(Q.sum(axis=1)) > 1e-12 * max(1.0, np.abs(Q).max())):
+        sums = np.bincount(rows, weights=data, minlength=n)
+        if abs(sums).max(initial=0.0) > 1e-12 * max(1.0, abs(data).max(initial=0.0)):
             raise ValueError("rows must sum to zero")
 
 
@@ -406,12 +420,19 @@ def generator_matrix(
     truncation: int | None = None,
     index: StateIndex | None = None,
 ) -> GeneratorMatrix:
-    """Dense generator of a jump-type process.
+    """Sparse (CSR) generator of a jump-type process.
 
     ``truncation`` bounds the state space of non-conserved chains (and names
     the conserved particle total for ``sip``).  A ``wf-general-1d`` spec
     yields its moment dual chain.  Pass ``index`` to override the state
     enumeration, e.g. to scan conservation across sectors.
+
+    The CSR arrays are filled in one pass over the states, with the rates
+    of ``_rates_from_state`` and the diagonal set to minus the row's
+    correctly rounded sum (``math.fsum``); no n x n array is allocated.
+    Going through COO and ``tocsr()`` instead would add a few hundred
+    microseconds per call, several times the whole build of the 5- to
+    31-state chains the check commands build by the dozen.
     """
     if spec.kind == "kingman-block" and truncation is not None:
         spec = ProcessSpec(kind="kingman-block", theta=spec.theta, sigma=spec.sigma, n_max=truncation)
@@ -428,15 +449,25 @@ def generator_matrix(
     else:
         spec_for_rates = spec
     n = len(index)
-    Q = np.zeros((n, n))
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
     for i, state in enumerate(index.states):
+        row: dict[int, float] = {}
         for target, rate in _rates_from_state(spec_for_rates, state):
             j = index.pos.get(target)
             if j is None:
                 # transitions leaving the enumerated window are dropped
                 continue
-            Q[i, j] += rate
-        Q[i, i] = -Q[i].sum()
+            row[j] = row.get(j, 0.0) + rate
+        row[i] = -fsum(row.values())
+        cols, rates = zip(*sorted(row.items()))
+        indices += cols
+        data += rates
+        indptr.append(len(indices))
+    Q = sparse.csr_array(
+        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=(n, n)
+    )
     conserved = {
         "sip": "total particle number",
         "moran-multitype": "population size (implicit last type)",
@@ -513,8 +544,24 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=64)
-def _cached_generator(spec: ProcessSpec, truncation: int | None) -> GeneratorMatrix:
-    return generator_matrix(spec, truncation)
+def _cached_chain(
+    spec: ProcessSpec, truncation: int | None
+) -> tuple[GeneratorMatrix, list[tuple[float, list[int], list[float]]]]:
+    """Generator plus, per state, its exit rate, jump targets and cumulative jump law."""
+    gen = generator_matrix(spec, truncation)
+    Q = gen.Q
+    tables = []
+    for i in range(Q.shape[0]):
+        lo, hi = Q.indptr[i], Q.indptr[i + 1]
+        cols, vals = Q.indices[lo:hi], Q.data[lo:hi]
+        off = cols != i
+        rates = vals[off]
+        # the same normalisation as Generator.choice with p = rates / sum
+        cdf = (rates / rates.sum()).cumsum()
+        if cdf.size:
+            cdf /= cdf[-1]
+        tables.append((float(-vals[~off].sum()), cols[off].tolist(), cdf.tolist()))
+    return gen, tables
 
 
 def sample_jump(
@@ -527,7 +574,8 @@ def sample_jump(
     """Exact continuous-time simulation of a jump chain up to horizon t.
 
     Holding times are exponential with the total exit rate, jump targets
-    categorical in the rates.  Deterministic given the random stream.
+    categorical in the rates (one uniform draw searched in the state's
+    cumulative table).  Deterministic given the random stream.
     """
     if t < 0:
         raise ValueError("horizon must be non-negative")
@@ -538,24 +586,20 @@ def sample_jump(
         # the particle total is conserved (sip) or non-increasing (dual
         # migration/coalescence), so the starting total bounds the space
         truncation = sum(state)
-    gen = _cached_generator(spec, truncation)
-    Q = gen.Q
+    gen, tables = _cached_chain(spec, truncation)
     try:
         i = gen.index.pos[state]
     except KeyError:
         raise ValueError(f"state {state} is outside the enumerated space") from None
     clock = 0.0
-    n = Q.shape[0]
     while True:
-        rate = -Q[i, i]
+        rate, targets, cdf = tables[i]
         if rate <= 0:
             return gen.index.states[i]
         clock += rng.exponential(1.0 / rate)
         if clock > t:
             return gen.index.states[i]
-        row = Q[i].copy()
-        row[i] = 0.0
-        i = int(rng.choice(n, p=row / row.sum()))
+        i = targets[bisect_right(cdf, rng.random())]
 
 
 def _n_steps(t: float, dt: float) -> tuple[int, float]:

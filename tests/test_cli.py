@@ -1,8 +1,11 @@
 """Command-line driver: configs, exit codes, deterministic reports."""
 
+import csv
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +144,46 @@ class TestResolveConfig:
         cfg_path.write_text("[1, 2]")
         with pytest.raises(ValueError):
             cli.resolve_config("run-mc", str(cfg_path), None)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FLOAT_TOL = 1e-12
+
+
+def _float_or_none(cell: str):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+class TestGoldenReports:
+    """Default reports against the CSVs in ``tests/golden``.
+
+    The golden files were written by ``duality-lab <command> --out <dir>``
+    at the defaults with the dense-generator code.  The sparse generators
+    sum a row's diagonal and the products ``K D`` in another order, so
+    residual cells may move by a few ulps: float cells must agree within
+    1e-12, every other cell (and the ``passed`` column) exactly.
+    """
+
+    @pytest.mark.parametrize("command", ["check-algebra", "check-exact", "check-pointwise", "reproduce-examples"])
+    def test_default_report_matches_golden(self, tmp_path, command):
+        assert cli.main([command, "--out", str(tmp_path / "out")]) == 0
+        got = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        want = (GOLDEN / f"{command}.csv").read_text().splitlines()
+        assert got[0] == want[0]  # the config comment
+        got_rows = list(csv.reader(got[1:]))
+        want_rows = list(csv.reader(want[1:]))
+        assert got_rows[0] == want_rows[0]
+        assert len(got_rows) == len(want_rows)
+        passed = want_rows[0].index("passed") if "passed" in want_rows[0] else None
+        for got_row, want_row in zip(got_rows[1:], want_rows[1:]):
+            assert len(got_row) == len(want_row)
+            for col, (g, w) in enumerate(zip(got_row, want_row)):
+                gf, wf = _float_or_none(g), _float_or_none(w)
+                if col == passed or gf is None or wf is None:
+                    assert g == w, (want_row, got_row)
+                else:
+                    assert abs(gf - wf) <= GOLDEN_FLOAT_TOL, (want_row, got_row)

@@ -84,6 +84,73 @@ class TestExactExpectation:
             exact_expectation(gen, np.ones(3), (5, 5), 1.0)
 
 
+def _sip_cross_sector(d, N, n=2, m=1.0):
+    K = processes.generator_matrix(processes.sip(d, m), truncation=N)
+    Kh = processes.generator_matrix(processes.sip(d, m), truncation=n)
+    return K, Kh, exact.sip_self_duality_matrix(K.index, Kh.index, m)
+
+
+class TestOracleSelection:
+    """The cost rule picks Krylov or dense from size, norm and sparsity of the input."""
+
+    @pytest.mark.parametrize("d, N", [(3, 30), (4, 16), (4, 20)])
+    @pytest.mark.parametrize("t", [0.4, 0.6])
+    def test_sparse_sip_sectors_use_krylov(self, d, N, t):
+        gen = processes.generator_matrix(processes.sip(d, 1.0), truncation=N)
+        assert exact._prefers_krylov(gen.Q, t, 11)
+        out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[0], t)
+        assert out.method == "expm-multiply"
+        assert out.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, truncation, t",
+        [
+            (processes.moran_multitype(12, 3, 0.5), None, 0.5),
+            (processes.kingman_block(theta=0.7, sigma=0.3, n_max=30), None, 1.0),
+            (processes.sip(2, 1.0), 200, 1.0),
+            (processes.kingman_block(n_max=400), None, 1.0),
+        ],
+        ids=["moran-d3-N12", "kingman-30", "sip-d2-N200", "kingman-400"],
+    )
+    def test_small_or_stiff_chains_stay_dense(self, spec, truncation, t):
+        gen = processes.generator_matrix(spec, truncation)
+        assert not exact._prefers_krylov(gen.Q, t, 1)
+        out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[-1], t)
+        assert out.method == "matrix-exponential"
+
+    def test_dense_beyond_physical_memory_is_refused(self):
+        gen = processes.generator_matrix(processes.kingman_block(n_max=200_000))
+        with pytest.raises(ValueError, match="needs about .* bytes"):
+            matrix_exponential_apply(gen, np.ones(len(gen.index)), 1.0)
+
+
+class TestLargeSectors:
+    def test_oracle_memory_stays_below_one_dense_matrix(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            K, Kh, D = _sip_cross_sector(4, 20)
+            exact.matrix_exponential_apply(K, np.column_stack([D, np.ones(len(K.index))]), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(K.index)
+        assert n == 1771
+        assert peak - start < 8 * n * n
+
+    def test_semigroup_across_sectors_at_3060_states(self):
+        K, Kh, D = _sip_cross_sector(5, 14)
+        assert len(K.index) == 3060
+        t = 0.5
+        lhs = matrix_exponential_apply(K, np.column_stack([D, np.ones(len(K.index))]), t)
+        rhs = matrix_exponential_apply(Kh, D.T, t).T
+        scale = float(np.abs(K.Q @ D).max())
+        assert np.abs(lhs[:, :-1] - rhs).max() <= 1e-8 * scale
+        assert np.abs(lhs[:, -1] - 1.0).max() <= 1e-10
+
+
 class TestGeneratorDuality:
     def test_moran_vs_block_counting_n8(self):
         N = 8
@@ -123,7 +190,7 @@ class TestGeneratorDuality:
         from duality_lab.dualities import cheap_self_duality
 
         gen = processes.generator_matrix(processes.moran_multitype(3, 2, 0.4))
-        mu = null_space(gen.Q.T)[:, 0]
+        mu = null_space(gen.Q.toarray().T)[:, 0]
         mu = mu / mu.sum()
         rep = check_generator_duality(gen, gen, cheap_self_duality(mu))
         assert rep.max_abs_residual <= 1e-10

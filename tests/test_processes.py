@@ -94,7 +94,7 @@ class TestGeneratorMatrix:
 
     def test_block_counting_pure_coalescence(self):
         gen = generator_matrix(kingman_block(n_max=5))
-        row = gen.Q[gen.index.pos[(3,)]]
+        row = gen.Q.toarray()[gen.index.pos[(3,)]]
         want = np.zeros(6)
         want[gen.index.pos[(2,)]] = 6.0
         want[gen.index.pos[(3,)]] = -6.0
@@ -133,7 +133,7 @@ class TestGeneratorMatrix:
             generator_matrix(stepping_stone_dual(((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2))), truncation=3),
         ]
         for gen in gens:
-            off = gen.Q.copy()
+            off = gen.Q.toarray()
             np.fill_diagonal(off, 0.0)
             assert off.min() >= 0.0
             assert np.abs(gen.Q.sum(axis=1)).max() <= 1e-12 * max(1.0, np.abs(gen.Q).max())
@@ -237,7 +237,35 @@ class TestDriftDiffusion:
         assert b[1] == pytest.approx(2 * (0.25 - 0.75))
 
 
+def _dense_row_sample_jump(Q, index, k0, t, rng):
+    """Reference sampler: dense rows and ``rng.choice`` per jump."""
+    i = index.pos[tuple(k0)]
+    clock = 0.0
+    while True:
+        rate = -Q[i, i]
+        if rate <= 0:
+            return index.states[i]
+        clock += rng.exponential(1.0 / rate)
+        if clock > t:
+            return index.states[i]
+        row = Q[i].copy()
+        row[i] = 0.0
+        i = int(rng.choice(Q.shape[0], p=row / row.sum()))
+
+
 class TestSampleJump:
+    @pytest.mark.parametrize(
+        "spec, k0, truncation",
+        [(moran_multitype(12, 3, 0.5), (4, 4), None), (sip(3, 1.0), (3, 1, 0), 4)],
+        ids=["moran-d3-N12", "sip-d3-m1"],
+    )
+    def test_tables_match_dense_row_sampler(self, spec, k0, truncation):
+        gen = generator_matrix(spec, truncation)
+        Q = gen.Q.toarray()
+        for i in range(500):
+            want = _dense_row_sample_jump(Q, gen.index, k0, 0.5, path_rng(i, i % 7))
+            assert sample_jump(spec, k0, 0.5, path_rng(i, i % 7)) == want
+
     def test_zero_horizon(self):
         assert sample_jump(sip(2, 0.0), (1, 1), 0.0, path_rng(1, 0)) == (1, 1)
 
@@ -342,7 +370,7 @@ class TestGeneratorProperties:
             generator_matrix(sip(d, m), truncation=N),
             generator_matrix(moran_multitype(N, d, theta)),
         ):
-            off = gen.Q.copy()
+            off = gen.Q.toarray()
             np.fill_diagonal(off, 0.0)
             assert off.min() >= 0.0
             assert np.abs(gen.Q.sum(axis=1)).max() <= 1e-12 * max(1.0, np.abs(gen.Q).max())
