@@ -282,15 +282,18 @@ def cheap_self_duality(mu: np.ndarray) -> np.ndarray:
     return np.diag(1.0 / mu)
 
 
-def transform_by_symmetry(S: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Left action of a symmetry on a duality matrix, ``S @ D``.
+def transform_by_symmetry(S, D: np.ndarray) -> np.ndarray:
+    """Left action of a symmetry on a duality matrix, ``S @ D``, as an ndarray.
 
-    When ``S`` commutes with the left generator the product is again an
-    intertwiner for the same pair; pair with ``check_intertwiner`` to
-    confirm.
+    ``S`` is any operator with ``.shape`` and ``@``: a dense array or a
+    sparse matrix such as a generator's CSR ``Q`` (a generator commutes
+    with itself).  When ``S`` commutes with the left generator the product
+    is again an intertwiner for the same pair; pair with
+    ``check_intertwiner`` to confirm.
     """
-    S = np.asarray(S, dtype=float)
+    if not hasattr(S, "shape"):
+        S = np.asarray(S, dtype=float)
     D = np.asarray(D, dtype=float)
     if S.shape[1] != D.shape[0]:
         raise ValueError("dimension mismatch in S @ D")
-    return S @ D
+    return np.asarray(S @ D, dtype=float)

@@ -501,18 +501,18 @@ def sip_self_duality_matrix(
     """
     a = m / 2.0
     out = np.zeros((len(index_rows), len(index_cols)))
-    for i, k in enumerate(index_rows.states):
-        for j, xi in enumerate(index_cols.states):
-            if len(k) != len(xi):
-                raise ValueError("sector dimensions differ")
-            if any(x > y for x, y in zip(xi, k)):
-                continue
-            val = 1.0
-            for ki, xii in zip(k, xi):
-                for step in range(xii):
-                    val *= ki - step
-                val *= exp(lgamma(a) - lgamma(a + xii))
-            out[i, j] = val
+    K = np.array(index_rows.states, dtype=float)
+    if K.shape[1] != len(index_cols.states[0]):
+        raise ValueError("sector dimensions differ")
+    # one column at a time, over all rows at once: the falling factorials
+    # multiply in the same order as the scalar product per entry
+    for j, xi in enumerate(index_cols.states):
+        val = np.ones(len(K))
+        for i, xii in enumerate(xi):
+            for step in range(xii):
+                val *= K[:, i] - step
+            val *= exp(lgamma(a) - lgamma(a + xii))
+        out[:, j] = np.where((K >= xi).all(axis=1), val, 0.0)
     return out
 
 

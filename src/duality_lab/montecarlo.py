@@ -99,12 +99,15 @@ def _mean_se(values: Sequence[float]) -> SideEstimate:
     return SideEstimate(mean=mean, se=se, n=n)
 
 
-def _lift_continuous(spec: ProcessSpec, endpoint: np.ndarray) -> tuple[float, ...]:
-    # the samplers track the free coordinates; simplex-valued duality
-    # functions need the implicit last type restored
-    if spec.kind == "wf-multitype":
-        return tuple(float(v) for v in endpoint) + (float(1.0 - endpoint.sum()),)
-    return tuple(float(v) for v in endpoint)
+def _lift_simplex(endpoints: np.ndarray) -> np.ndarray:
+    """Append the implicit last type ``1 - sum`` to each row of free coordinates.
+
+    The samplers track the first d - 1 frequencies; simplex-valued duality
+    functions need all d.  A renormalised row can sum to 1 + 2**-52, so
+    the restored coordinate is clamped at zero.
+    """
+    last = np.maximum(1.0 - endpoints.sum(axis=1), 0.0)
+    return np.concatenate([endpoints, last[:, None]], axis=1)
 
 
 def _lift_discrete(spec: ProcessSpec, endpoint: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,6 +144,12 @@ def estimate_duality_side(
     slots have the same type ("first" puts the simulated endpoint in the
     duality function's first slot).
 
+    Along a diffusion, ``processes.diffusion_endpoints`` simulates every
+    path first; the endpoints are lifted to the simplex in one array
+    expression (d-type Wright-Fisher), and the loop over paths is one
+    ``dualities.evaluate`` call per row.  ``frozen`` is converted once per
+    call, on both sides.
+
     For the limiting occupancy duality evaluated along a jump process, the
     estimator multiplies by the indicator that the number of occupied sites
     is conserved; that is the only contribution surviving the vanishing-
@@ -152,26 +161,26 @@ def estimate_duality_side(
     if cfg.t != t:
         cfg = EstimatorConfig(cfg.n_paths, cfg.seed, cfg.dt, t, cfg.antithetic)
     limiting_jump = family.kind == "limiting-sip" and spec.is_jump
+    lift = _needs_lift(family, spec)
 
     if spec.is_diffusion:
         if t == 0:
-            x0 = np.atleast_1d(np.asarray(start, dtype=float))
-            value = _eval_pair(family, _lift_continuous(spec, x0) if _needs_lift(family, spec) else tuple(map(float, x0)), frozen, endpoint_slot, continuous_endpoint=True)
-            return SideEstimate(mean=value, se=0.0, n=cfg.n_paths)
-        endpoints = processes.diffusion_endpoints(
-            spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic
-        )
-        lift = _needs_lift(family, spec)
-        values = []
-        for row in endpoints:
-            cont = _lift_continuous(spec, row) if lift else tuple(float(v) for v in row)
-            values.append(_eval_pair(family, cont, frozen, endpoint_slot, continuous_endpoint=True))
+            endpoints = np.atleast_1d(np.asarray(start, dtype=float))[None, :]
+        else:
+            endpoints = processes.diffusion_endpoints(
+                spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic
+            )
+        if lift:
+            endpoints = _lift_simplex(endpoints)
+        point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=True)
+        values = [dualities.evaluate(family, point(tuple(row.tolist()))) for row in endpoints]
+        if t == 0:
+            return SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
         return _mean_se(values)
 
     if not spec.is_jump:
         raise ValueError(f"{spec.kind} is neither a diffusion nor a jump process")
     start_t = tuple(int(v) for v in np.atleast_1d(start))
-    lift = _needs_lift(family, spec)
     if limiting_jump:
         full0 = _lift_discrete(spec, start_t) if lift else start_t
         if _occupied(full0) != len(full0):
@@ -179,37 +188,37 @@ def estimate_duality_side(
                 "limiting-sip estimation requires every site occupied at the start; "
                 f"got {full0} with an empty site"
             )
+    point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=False)
     values = []
     for i in range(cfg.n_paths):
         rng = processes.path_rng(cfg.seed, i)
         endpoint = start_t if t == 0 else processes.sample_jump(spec, start_t, t, rng)
         disc = _lift_discrete(spec, endpoint) if lift else endpoint
-        value = _eval_pair(family, disc, frozen, endpoint_slot, continuous_endpoint=False)
+        value = dualities.evaluate(family, point(disc))
         if limiting_jump and _occupied(disc) != len(disc):
             value = 0.0
         values.append(value)
     return _mean_se(values)
 
 
-def _eval_pair(family, endpoint, frozen, endpoint_slot, *, continuous_endpoint: bool) -> float:
+def _point_maker(family, frozen, endpoint_slot, *, continuous_endpoint: bool):
+    """The map from an endpoint tuple to the evaluation point, with ``frozen`` converted once."""
     frozen_t = tuple(np.atleast_1d(frozen))
     if family.kind == "exponential":
-        pair = (endpoint[0], float(frozen_t[0])) if endpoint_slot == "first" else (float(frozen_t[0]), endpoint[0])
-        return dualities.evaluate(family, EvalPoint(continuous=tuple(pair)))
+        y = float(frozen_t[0])
+        if endpoint_slot == "first":
+            return lambda e: EvalPoint(continuous=(e[0], y))
+        return lambda e: EvalPoint(continuous=(y, e[0]))
     if continuous_endpoint:
-        cont = tuple(float(v) for v in endpoint)
         disc = tuple(int(v) for v in frozen_t)
-        return dualities.evaluate(family, EvalPoint(continuous=cont, discrete=disc))
-    disc_endpoint = tuple(int(v) for v in endpoint)
+        return lambda e: EvalPoint(continuous=e, discrete=disc)
     if family.kind in ("hypergeometric-finite", "moran-self-dual"):
-        both = (
-            disc_endpoint + tuple(int(v) for v in frozen_t)
-            if endpoint_slot == "first"
-            else tuple(int(v) for v in frozen_t) + disc_endpoint
-        )
-        return dualities.evaluate(family, EvalPoint(discrete=both))
+        other = tuple(int(v) for v in frozen_t)
+        if endpoint_slot == "first":
+            return lambda e: EvalPoint(discrete=tuple(int(v) for v in e) + other)
+        return lambda e: EvalPoint(discrete=other + tuple(int(v) for v in e))
     cont = tuple(float(v) for v in frozen_t)
-    return dualities.evaluate(family, EvalPoint(continuous=cont, discrete=disc_endpoint))
+    return lambda e: EvalPoint(continuous=cont, discrete=tuple(int(v) for v in e))
 
 
 def compare(

@@ -622,20 +622,22 @@ def _psd_sqrt_batch(a: np.ndarray) -> np.ndarray:
 def _em_run(spec: ProcessSpec, x0: np.ndarray, t: float, dt: float, normals: np.ndarray) -> np.ndarray:
     """Vectorized Euler-Maruyama over a batch of paths.
 
-    ``normals`` has shape (paths, steps, dim); the trailing step uses the
-    remainder of the horizon when t is not a multiple of dt.
+    ``normals`` is step-major, shape (steps, paths, dim), so step ``s``
+    reads the one contiguous slab ``normals[s]``; path ``p``'s increments
+    are the column ``normals[:, p]``.  The trailing step uses the remainder
+    of the horizon when t is not a multiple of dt.
     """
     kind = spec.kind
     n_full, rem = _n_steps(t, dt)
     steps = n_full + (1 if rem > 0 else 0)
-    npaths = normals.shape[0]
+    npaths = normals.shape[1]
     x = np.tile(np.asarray(x0, dtype=float), (npaths, 1))
     dim = x.shape[1]
-    if normals.shape != (npaths, steps, dim):
+    if normals.shape != (steps, npaths, dim):
         raise ValueError("normals shape mismatch")
     for s in range(steps):
         h = dt if s < n_full else rem
-        z = normals[:, s, :]
+        z = normals[s]
         if kind == "wf-general-1d":
             xv = x[:, 0]
             assert spec.alpha is not None
@@ -650,15 +652,17 @@ def _em_run(spec: ProcessSpec, x0: np.ndarray, t: float, dt: float, normals: np.
                 xv = x[:, 0]
                 noise = np.sqrt(np.maximum(xv * (1.0 - xv), 0.0) * h) * z[:, 0]
                 x[:, 0] = xv + drift[:, 0] * h + noise
+                # one free coordinate: the clip alone keeps it on the simplex
+                np.clip(x, 0.0, 1.0, out=x)
             else:
                 amat = x[:, :, None] * np.eye(dim) - x[:, :, None] * x[:, None, :]
                 root = _psd_sqrt_batch(amat)
                 x = x + drift * h + sqrt(h) * np.einsum("pij,pj->pi", root, z)
-            np.clip(x, 0.0, 1.0, out=x)
-            total = x.sum(axis=1)
-            over = total > 1.0
-            if np.any(over):
-                x[over] /= total[over, None]
+                np.clip(x, 0.0, 1.0, out=x)
+                total = x.sum(axis=1)
+                over = total > 1.0
+                if np.any(over):
+                    x[over] /= total[over, None]
         elif kind == "bep":
             assert spec.d is not None and spec.m is not None
             total = x.sum(axis=1)
@@ -721,7 +725,7 @@ def sample_diffusion(
         raise ValueError("need 0 < dt < t")
     n_full, rem = _n_steps(t, dt)
     steps = n_full + (1 if rem > 0 else 0)
-    normals = rng.standard_normal((1, steps, x0v.size))
+    normals = rng.standard_normal((steps, 1, x0v.size))
     return _em_run(spec, x0v, t, dt, normals)[0]
 
 
@@ -738,9 +742,12 @@ def diffusion_endpoints(
 ) -> np.ndarray:
     """Endpoints of ``n_paths`` independent paths, one stream per path.
 
-    Path ``i`` draws from stream ``(seed, i)``; with ``antithetic`` the odd
-    path of each pair reuses the even stream with negated increments.  The
-    result does not depend on the block partition.
+    Path ``i`` draws its (steps, dim) normals from stream ``(seed, i)``;
+    with ``antithetic`` the pair (2j, 2j + 1) is drawn once from stream
+    ``(seed, j)`` and the odd path takes the negated increments.  Paths run
+    in blocks of ``block``, each a step-major (steps, paths, dim) array
+    that path ``i`` fills in its column; the result does not depend on the
+    block partition.
     """
     x0v = _diffusion_dim(spec, x0)
     if t == 0:
@@ -755,12 +762,15 @@ def diffusion_endpoints(
     out = np.empty((n_paths, dim))
     for start in range(0, n_paths, block):
         stop = min(start + block, n_paths)
-        normals = np.empty((stop - start, steps, dim))
+        normals = np.empty((steps, stop - start, dim))
         for i in range(start, stop):
-            if antithetic:
+            if not antithetic:
+                normals[:, i - start] = path_rng(seed, i).standard_normal((steps, dim))
+            elif i % 2 == 0:
+                # the pair's odd path may open the next block; base carries over
                 base = path_rng(seed, i // 2).standard_normal((steps, dim))
-                normals[i - start] = base if i % 2 == 0 else -base
+                normals[:, i - start] = base
             else:
-                normals[i - start] = path_rng(seed, i).standard_normal((steps, dim))
+                np.negative(base, out=normals[:, i - start])
         out[start:stop] = _em_run(spec, x0v, t, dt, normals)
     return out

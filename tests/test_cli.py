@@ -187,3 +187,29 @@ class TestGoldenReports:
                     assert g == w, (want_row, got_row)
                 else:
                     assert abs(gf - wf) <= GOLDEN_FLOAT_TOL, (want_row, got_row)
+
+
+class TestGoldenRunMcReports:
+    """``run-mc`` reports at 2,000 paths against ``tests/golden/run-mc-*.csv``.
+
+    Every path draws from its own stream ``(seed, i)`` and the estimator
+    promises the same floats whatever the block layout or loop structure,
+    so these files must match byte for byte, with no float tolerance.
+    """
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("heterozygosity", {"experiment": "heterozygosity", "n_paths": 2000}),
+            ("wf-vs-moran", {"experiment": "wf-vs-moran", "n_paths": 2000}),
+            ("wf-moment-vs-kingman", {"experiment": "wf-moment-vs-kingman", "n_paths": 2000}),
+            (
+                "heterozygosity-antithetic",
+                {"experiment": "heterozygosity", "n_paths": 2000, "antithetic": True},
+            ),
+        ],
+    )
+    def test_report_matches_golden_bytes(self, tmp_path, name, config):
+        assert run_cli(tmp_path, "run-mc", config) == 0
+        got = (tmp_path / "out" / "report.csv").read_bytes()
+        assert got == (GOLDEN / f"run-mc-{name}.csv").read_bytes()

@@ -240,6 +240,14 @@ class TestTransformBySymmetry:
         rep = algebra.check_intertwiner(moran.Q, kingman.Q, D2)
         assert rep.max_abs_residual <= 1e-10
 
+    def test_accepts_a_sparse_generator(self):
+        N = 4
+        moran = processes.generator_matrix(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
+        D = algebra.falling_factorial_matrix(N)
+        D2 = transform_by_symmetry(moran.Q, D)
+        assert isinstance(D2, np.ndarray)
+        assert np.array_equal(D2, moran.Q.toarray() @ D)
+
 
 class TestHermiteValue:
     def test_recurrence_against_matrix(self):

@@ -403,3 +403,39 @@ class TestReproduceExamples:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             reproduce_example("nope")
+
+
+def _reference_sip_self_duality_matrix(index_rows, index_cols, m):
+    # the entry-by-entry double loop the vectorised version replaced
+    from math import lgamma
+
+    a = m / 2.0
+    out = np.zeros((len(index_rows), len(index_cols)))
+    for i, k in enumerate(index_rows.states):
+        for j, xi in enumerate(index_cols.states):
+            if len(k) != len(xi):
+                raise ValueError("sector dimensions differ")
+            if any(x > y for x, y in zip(xi, k)):
+                continue
+            val = 1.0
+            for ki, xii in zip(k, xi):
+                for step in range(xii):
+                    val *= ki - step
+                val *= exp(lgamma(a) - lgamma(a + xii))
+            out[i, j] = val
+    return out
+
+
+class TestSipSelfDualityMatrix:
+    @pytest.mark.parametrize(
+        "d, N, n, m", [(3, 30, 2, 1.0), (4, 16, 2, 1.0), (4, 20, 2, 1.0), (3, 12, 5, 2.0), (2, 40, 7, 0.5)]
+    )
+    def test_matches_double_loop_bitwise(self, d, N, n, m):
+        rows = processes.enumerate_states(d, N)
+        cols = processes.enumerate_states(d, n)
+        got = exact.sip_self_duality_matrix(rows, cols, m)
+        assert np.array_equal(got, _reference_sip_self_duality_matrix(rows, cols, m))
+
+    def test_rejects_sectors_of_different_dimension(self):
+        with pytest.raises(ValueError, match="sector dimensions differ"):
+            exact.sip_self_duality_matrix(processes.enumerate_states(3, 4), processes.enumerate_states(2, 2), 1.0)

@@ -207,3 +207,97 @@ class TestAntithetic:
             spec, fam, (0.3,), (1, 1), 0.5, EstimatorConfig(n_paths=2000, seed=61, dt=5e-3, t=0.5)
         )
         assert a.mean != plain.mean
+
+
+# ---------------------------------------------------------------------------
+# reference: one lift and one _eval_pair per path, frozen converted each time
+# ---------------------------------------------------------------------------
+
+
+def _reference_eval_pair(family, endpoint, frozen, endpoint_slot):
+    from duality_lab.dualities import EvalPoint, evaluate
+
+    frozen_t = tuple(np.atleast_1d(frozen))
+    if family.kind == "exponential":
+        pair = (endpoint[0], float(frozen_t[0])) if endpoint_slot == "first" else (float(frozen_t[0]), endpoint[0])
+        return evaluate(family, EvalPoint(continuous=tuple(pair)))
+    cont = tuple(float(v) for v in endpoint)
+    disc = tuple(int(v) for v in frozen_t)
+    return evaluate(family, EvalPoint(continuous=cont, discrete=disc))
+
+
+def _reference_diffusion_values(spec, family, start, frozen, t, cfg, endpoint_slot="first"):
+    lift = spec.kind == "wf-multitype" and family.kind in ("product-gamma", "limiting-sip", "monomial")
+    if t == 0:
+        rows = [np.atleast_1d(np.asarray(start, dtype=float))]
+    else:
+        rows = processes.diffusion_endpoints(spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic)
+    values = []
+    for row in rows:
+        cont = tuple(float(v) for v in row)
+        if lift:
+            cont = cont + (float(1.0 - row.sum()),)
+        values.append(_reference_eval_pair(family, cont, frozen, endpoint_slot))
+    return values
+
+
+ESTIMATOR_CASES = {
+    "limiting-sip": (processes.wf_multitype(2, 0.0), DualityFamily("limiting-sip"), (0.3,), (1, 1), "first"),
+    "product-gamma-d2": (
+        processes.wf_multitype(2, 0.5),
+        DualityFamily("product-gamma", theta=0.5, d=2),
+        (0.3,),
+        (2, 1),
+        "first",
+    ),
+    "product-gamma-d3": (
+        processes.wf_multitype(3, 0.4),
+        DualityFamily("product-gamma", theta=0.4, d=3),
+        (0.2, 0.5),
+        (1, 0, 2),
+        "first",
+    ),
+    "monomial": (processes.wf_general_1d({1: 1.0, 2: -1.0}), DualityFamily("monomial"), (0.3,), (2,), "first"),
+    "exponential-first": (
+        processes.wf_general_1d({1: 1.0, 2: -1.0}),
+        DualityFamily("exponential"),
+        (0.4,),
+        (0.7,),
+        "first",
+    ),
+    "exponential-second": (
+        processes.wf_general_1d({1: 1.0, 2: -1.0}),
+        DualityFamily("exponential"),
+        (0.4,),
+        (-1.3,),
+        "second",
+    ),
+}
+
+
+class TestHoistedDiffusionLoop:
+    """The estimator gives what one lift and one _eval_pair per path gave."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
+    def test_matches_per_path_reference(self, case, t):
+        spec, fam, start, frozen, slot = ESTIMATOR_CASES[case]
+        cfg = EstimatorConfig(n_paths=300, seed=17, dt=1e-2, t=t)
+        got = estimate_duality_side(spec, fam, start, frozen, t, cfg, endpoint_slot=slot)
+        values = _reference_diffusion_values(spec, fam, start, frozen, t, cfg, slot)
+        if t == 0:
+            assert got == SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
+        else:
+            want_mean = math.fsum(values) / len(values)
+            want_var = math.fsum((v - want_mean) ** 2 for v in values) / (len(values) * (len(values) - 1))
+            assert got == SideEstimate(mean=want_mean, se=math.sqrt(want_var), n=len(values))
+
+    def test_lifted_last_type_is_clamped_at_zero(self):
+        # a renormalised endpoint can sum to 1 + 2**-52; its lifted last
+        # type used to be -2.2e-16, which product-gamma rejects
+        spec = processes.wf_multitype(4, 0.4)
+        fam = DualityFamily("product-gamma", theta=0.4, d=4)
+        cfg = EstimatorConfig(n_paths=1000, seed=9, dt=1e-2, t=0.3, antithetic=True)
+        side = estimate_duality_side(spec, fam, (0.2, 0.3, 0.1), (1, 1, 0, 2), 0.3, cfg)
+        assert math.isfinite(side.mean) and math.isfinite(side.se)
+        assert side.n == cfg.n_paths

@@ -357,6 +357,139 @@ class TestSampleDiffusion:
         assert 0.0 <= out[0] <= 1.0
 
 
+# ---------------------------------------------------------------------------
+# reference: the path-major Euler-Maruyama block, normals (paths, steps, dim)
+# ---------------------------------------------------------------------------
+
+
+def _reference_em_run(spec, x0, t, dt, normals):
+    from duality_lab.processes import _n_steps, _psd_sqrt_batch
+
+    kind = spec.kind
+    n_full, rem = _n_steps(t, dt)
+    steps = n_full + (1 if rem > 0 else 0)
+    npaths = normals.shape[0]
+    x = np.tile(np.asarray(x0, dtype=float), (npaths, 1))
+    dim = x.shape[1]
+    assert normals.shape == (npaths, steps, dim)
+    for s in range(steps):
+        h = dt if s < n_full else rem
+        z = normals[:, s, :]
+        if kind == "wf-general-1d":
+            xv = x[:, 0]
+            a = 2.0 * sum(c * xv**k for k, c in spec.alpha)
+            b = sum(c * xv**k for k, c in (spec.beta or ())) if spec.beta else 0.0
+            xv = xv + b * h + np.sqrt(np.maximum(a, 0.0) * h) * z[:, 0]
+            x[:, 0] = np.clip(xv, 0.0, 1.0)
+        elif kind == "wf-multitype":
+            drift = (spec.theta / (spec.d - 1)) * (1.0 - spec.d * x)
+            if dim == 1:
+                xv = x[:, 0]
+                noise = np.sqrt(np.maximum(xv * (1.0 - xv), 0.0) * h) * z[:, 0]
+                x[:, 0] = xv + drift[:, 0] * h + noise
+            else:
+                amat = x[:, :, None] * np.eye(dim) - x[:, :, None] * x[:, None, :]
+                root = _psd_sqrt_batch(amat)
+                x = x + drift * h + math.sqrt(h) * np.einsum("pij,pj->pi", root, z)
+            np.clip(x, 0.0, 1.0, out=x)
+            total = x.sum(axis=1)
+            over = total > 1.0
+            if np.any(over):
+                x[over] /= total[over, None]
+        elif kind == "bep":
+            total = x.sum(axis=1)
+            drift = (spec.m / 4.0) * (total[:, None] - spec.d * x)
+            amat = total[:, None, None] * (x[:, :, None] * np.eye(dim)) - x[:, :, None] * x[:, None, :]
+            root = _psd_sqrt_batch(amat)
+            x = x + drift * h + math.sqrt(h) * np.einsum("pij,pj->pi", root, z)
+            np.clip(x, 0.0, None, out=x)
+            sums = x.sum(axis=1)
+            fix = sums > 0
+            x[fix] *= (total[fix] / sums[fix])[:, None]
+        elif kind == "stepping-stone-forward":
+            P = np.asarray(spec.kernel)
+            drift = x @ P.T + x @ P - x * (1.0 + P.sum(axis=0))
+            noise = np.sqrt(np.maximum(2.0 * x * (1.0 - x), 0.0) * h) * z
+            x = x + drift * h + noise
+            np.clip(x, 0.0, 1.0, out=x)
+    return x
+
+
+def _reference_endpoints(spec, x0, t, dt, seed, n_paths, *, antithetic=False, block=20_000):
+    from duality_lab.processes import _n_steps
+
+    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
+    n_full, rem = _n_steps(t, dt)
+    steps = n_full + (1 if rem > 0 else 0)
+    dim = x0v.size
+    out = np.empty((n_paths, dim))
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        normals = np.empty((stop - start, steps, dim))
+        for i in range(start, stop):
+            if antithetic:
+                base = path_rng(seed, i // 2).standard_normal((steps, dim))
+                normals[i - start] = base if i % 2 == 0 else -base
+            else:
+                normals[i - start] = path_rng(seed, i).standard_normal((steps, dim))
+        out[start:stop] = _reference_em_run(spec, x0v, t, dt, normals)
+    return out
+
+
+STEP_MAJOR_CASES = {
+    "wf-general-1d": (wf_general_1d({1: 1.0, 2: -1.0}, {0: 0.3, 1: -0.8, 2: 0.5}), (0.3,)),
+    "wf-multitype-d2": (wf_multitype(2, 0.5), (0.3,)),
+    # close to the face x1 + x2 = 1, so the renormalisation runs
+    "wf-multitype-d3": (wf_multitype(3, 0.05), (0.55, 0.43)),
+    "bep-d3": (bep(3, 1.0), (0.2, 0.3, 0.5)),
+    "stepping-stone-forward": (
+        stepping_stone_forward([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]]),
+        (0.1, 0.5, 0.9),
+    ),
+}
+
+
+class TestStepMajorBlocks:
+    """Step-major blocks give the path-major endpoints bit for bit."""
+
+    @pytest.mark.parametrize("block", [7, 20_000])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("case", sorted(STEP_MAJOR_CASES))
+    def test_endpoints_equal_path_major_reference(self, case, antithetic, block):
+        spec, x0 = STEP_MAJOR_CASES[case]
+        # t is not a multiple of dt, so the trailing partial step runs too
+        args = (spec, x0, 0.255, 1e-2, 2024, 60)
+        got = diffusion_endpoints(*args, antithetic=antithetic, block=block)
+        want = _reference_endpoints(*args, antithetic=antithetic, block=block)
+        assert np.array_equal(got, want)
+
+    def test_renormalisation_is_exercised(self):
+        spec, x0 = STEP_MAJOR_CASES["wf-multitype-d3"]
+        ends = diffusion_endpoints(spec, x0, 0.255, 1e-2, seed=2024, n_paths=60)
+        assert np.any(ends.sum(axis=1) >= 1.0 - 1e-15)
+
+    def test_antithetic_draws_one_stream_per_pair(self, monkeypatch):
+        from duality_lab import processes
+
+        calls = []
+        real = processes.path_rng
+
+        def counting(seed, path):
+            calls.append(path)
+            return real(seed, path)
+
+        monkeypatch.setattr(processes, "path_rng", counting)
+        spec, x0 = STEP_MAJOR_CASES["wf-multitype-d2"]
+        diffusion_endpoints(spec, x0, 0.255, 1e-2, seed=3, n_paths=60, antithetic=True, block=7)
+        assert calls == list(range(30))
+
+    def test_single_path_sampler_matches_reference(self):
+        spec, x0 = STEP_MAJOR_CASES["bep-d3"]
+        got = sample_diffusion(spec, x0, 0.255, 1e-2, path_rng(8, 3))
+        want = _reference_endpoints(spec, x0, 0.255, 1e-2, 8, 4)[3]
+        assert np.array_equal(got, want)
+
+
 class TestGeneratorProperties:
     @settings(max_examples=25, deadline=None)
     @given(
