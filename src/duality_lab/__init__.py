@@ -6,7 +6,7 @@ Subpackages:
   commutation and intertwiner checks, the binomial transform;
 * :mod:`duality_lab.dualities` -- the duality-function catalog with stable
   evaluation;
-* :mod:`duality_lab.processes` -- process specs, generator matrices,
+* :mod:`duality_lab.processes` -- process models, generator matrices,
   seeded jump and diffusion samplers;
 * :mod:`duality_lab.exact` -- matrix-exponential oracles, exact duality
   checks and worked-example reproductions;

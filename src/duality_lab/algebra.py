@@ -15,8 +15,9 @@ Two algebras are covered:
 Everything is a dense real matrix acting on coefficient (or function-value)
 vectors indexed ``0..M``.  Raising operators on the monomial basis overflow
 the top degree; the overflow row is dropped, so identity checks must exclude
-the truncation edge.  All builders are pure and the returned arrays are
-treated as immutable.
+the truncation edge.  The finite-population builders take ``num``: float
+arrays, or exact ``Fraction`` nested lists.  All builders are pure and the
+returned arrays are treated as immutable.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "check_intertwiner",
     "binomial_transform",
     "falling_factorial_matrix",
-    "falling_factorial_matrix_exact",
     "hermite_coefficient_matrix",
     "HEISENBERG_FAMILIES",
     "SU11_FAMILIES",
@@ -126,81 +126,57 @@ class ResidualReport:
 
 
 def _monomial_derivative(size: int) -> np.ndarray:
-    out = np.zeros((size, size))
-    for i in range(size - 1):
-        out[i, i + 1] = i + 1
-    return out
+    return np.diag(np.arange(1.0, size), 1)
 
 
 def _monomial_multiply(size: int) -> np.ndarray:
     # multiplication by the variable; the coefficient of x^(M+1) is dropped
-    out = np.zeros((size, size))
-    for i in range(1, size):
-        out[i, i - 1] = 1.0
-    return out
+    return np.eye(size, k=-1)
 
 
 def _discrete_lowering(size: int) -> np.ndarray:
     # f(n) -> n f(n-1)
-    out = np.zeros((size, size))
-    for n in range(1, size):
-        out[n, n - 1] = n
-    return out
+    return np.diag(np.arange(1.0, size), -1)
 
 
 def _discrete_raising(size: int) -> np.ndarray:
     # f(n) -> f(n+1); the value beyond the truncation is taken as zero
-    out = np.zeros((size, size))
-    for n in range(size - 1):
-        out[n, n + 1] = 1.0
-    return out
+    return np.eye(size, k=1)
 
 
-def _finite_lowering(N: int) -> np.ndarray:
+def _ratio(a: int, b: int, num: type):
+    # int / int is correctly rounded, where float(a) / float(b) can round twice
+    return Fraction(a, b) if num is Fraction else a / b
+
+
+def _matrix(rows: list[list], num: type):
+    """Square nested rows as a float array, or as they are for exact numbers."""
+    return np.array(rows) if num is float else rows
+
+
+def _finite_lowering(N: int, num: type = float):
     # tridiagonal (N-k) f(k+1) + (2k-N) f(k) - k f(k-1), with the
     # conventions f(-1) = f(N+1) = 0 absorbed by the matrix bounds
-    out = np.zeros((N + 1, N + 1))
+    rows = [[num(0)] * (N + 1) for _ in range(N + 1)]
     for k in range(N + 1):
         if k + 1 <= N:
-            out[k, k + 1] = N - k
-        out[k, k] = 2 * k - N
+            rows[k][k + 1] = num(N - k)
+        rows[k][k] = num(2 * k - N)
         if k - 1 >= 0:
-            out[k, k - 1] = -k
-    return out
+            rows[k][k - 1] = num(-k)
+    return _matrix(rows, num)
 
 
-def _finite_raising(N: int) -> np.ndarray:
+def _finite_raising(N: int, num: type = float):
     # strictly lower triangular alternating sums of binomial ratios,
-    # entry (k, r) = (-1)^(k-1-r) C(N,r)/C(N,k); the ratios are built by
-    # cumulative products so no factorial ever overflows for N <= 64
-    out = np.zeros((N + 1, N + 1))
-    for k in range(1, N + 1):
-        ratio = k / (N - k + 1)  # C(N,k-1)/C(N,k)
-        for r in range(k - 1, -1, -1):
-            out[k, r] = ratio if (k - 1 - r) % 2 == 0 else -ratio
-            if r > 0:
-                ratio *= r / (N - r + 1)  # step C(N,r)/C(N,k) -> C(N,r-1)/C(N,k)
-    return out
-
-
-def _finite_lowering_exact(N: int) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1):
-        if k + 1 <= N:
-            out[k][k + 1] = Fraction(N - k)
-        out[k][k] = Fraction(2 * k - N)
-        if k - 1 >= 0:
-            out[k][k - 1] = Fraction(-k)
-    return out
-
-
-def _finite_raising_exact(N: int) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
+    # entry (k, r) = (-1)^(k-1-r) C(N,r)/C(N,k), each ratio formed from the
+    # exact integers
+    rows = [[num(0)] * (N + 1) for _ in range(N + 1)]
     for k in range(1, N + 1):
         for r in range(k):
-            val = Fraction(comb(N, r), comb(N, k))
-            out[k][r] = val if (k - 1 - r) % 2 == 0 else -val
-    return out
+            val = _ratio(comb(N, r), comb(N, k), num)
+            rows[k][r] = val if (k - 1 - r) % 2 == 0 else -val
+    return _matrix(rows, num)
 
 
 def build_representation(
@@ -254,17 +230,13 @@ def build_representation(
             raise ValueError("su11 families take no N")
         if family == "su11-continuous":
             basis = Basis("monomial", size)
-            lower = np.zeros((size, size))
-            for i in range(size - 1):
-                # z d^2/dz^2 + (m/2) d/dz maps z^(i+1) to (i+1)(i + m/2) z^i
-                lower[i, i + 1] = (i + 1) * (i + m / 2.0)
+            # z d^2/dz^2 + (m/2) d/dz maps z^(i+1) to (i+1)(i + m/2) z^i
+            lower = np.diag([(i + 1) * (i + m / 2.0) for i in range(size - 1)], 1)
             number = np.diag([i + m / 4.0 for i in range(size)])
             ops = {"lower": lower, "raise": _monomial_multiply(size), "number": number}
         else:
             basis = Basis("occupation", size)
-            raise_ = np.zeros((size, size))
-            for n in range(size - 1):
-                raise_[n, n + 1] = m / 2.0 + n
+            raise_ = np.diag([m / 2.0 + n for n in range(size - 1)], 1)
             number = np.diag([m / 4.0 + n for n in range(size)])
             ops = {"lower": _discrete_lowering(size), "raise": raise_, "number": number}
         return OperatorSet(family, basis, ops, m=m)
@@ -315,9 +287,9 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
     elif fam == "heisenberg-finite-N":
         N = opset.N
         assert N is not None
-        low = _finite_lowering_exact(N)
-        rai = _finite_raising_exact(N)
-        D = falling_factorial_matrix_exact(N)
+        low = _finite_lowering(N, Fraction)
+        rai = _finite_raising(N, Fraction)
+        D = falling_factorial_matrix(N, Fraction)
         comm = _mat_sub(_mat_mul(low, rai), _mat_mul(rai, low))
         # ([lower, raise] - I) annihilates the degree <= N-1 columns
         resid = _mat_sub(_mat_mul(comm, D), D)
@@ -351,21 +323,15 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
 # ---------------------------------------------------------------------------
 
 
-def falling_factorial_matrix(N: int) -> np.ndarray:
-    """Matrix ``[C(k,n)/C(N,n)]`` for k, n in 0..N (lower triangular)."""
-    out = np.zeros((N + 1, N + 1))
-    for k in range(N + 1):
-        for n in range(k + 1):
-            out[k, n] = comb(k, n) / comb(N, n)
-    return out
+def falling_factorial_matrix(N: int, num: type = float):
+    """Matrix ``[C(k,n)/C(N,n)]`` for k, n in 0..N (lower triangular).
 
-
-def falling_factorial_matrix_exact(N: int) -> list[list[Fraction]]:
-    """Exact rational version of :func:`falling_factorial_matrix`."""
-    return [
-        [Fraction(comb(k, n), comb(N, n)) if n <= k else Fraction(0) for n in range(N + 1)]
-        for k in range(N + 1)
-    ]
+    With ``num=Fraction`` the exact entries, as nested lists.
+    """
+    return _matrix(
+        [[_ratio(comb(k, n), comb(N, n), num) if n <= k else num(0) for n in range(N + 1)] for k in range(N + 1)],
+        num,
+    )
 
 
 def hermite_coefficient_matrix(M: int) -> np.ndarray:

@@ -10,7 +10,8 @@ Both work to the double-precision unit roundoff.  Generator dualities are
 checked as matrix identities; diffusion generators enter either through an
 exact polynomial-coefficient representation or through pointwise
 evaluation with analytic derivatives of the duality function (central
-finite differences as a fallback).
+finite differences as a fallback).  The rational certification runs the
+models' rates and the algebra's builders with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -32,7 +33,7 @@ from scipy.linalg import expm
 
 from . import algebra, processes
 from .algebra import ResidualReport, check_intertwiner
-from .processes import GeneratorMatrix, ProcessSpec
+from .processes import DiffusionModel, GeneratorMatrix, JumpModel
 
 __all__ = [
     "ExactExpectation",
@@ -45,8 +46,6 @@ __all__ = [
     "monomial_duality",
     "mirror_monomial_duality",
     "exp_xy_duality",
-    "moran_generator_exact",
-    "kingman_generator_exact",
     "moran_kingman_residual_exact",
     "moran_ladder_product_exact",
     "wf_monomial_matrix",
@@ -212,39 +211,10 @@ def check_generator_duality(
 # ---------------------------------------------------------------------------
 
 
-def moran_generator_exact(N: int) -> list[list[Fraction]]:
-    """Two-type Moran generator, rate k(N-k) to each neighbour, exact.
-
-    This is the population-size-squared time normalization under which the
-    chain equals the ladder product raise (1 - raise) lower^2 and is dual to
-    the block-counting chain at rate n(n-1); the d-type definition runs at
-    half this speed.
-    """
-    Q = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1):
-        r = Fraction(k * (N - k))
-        if r:
-            Q[k][k + 1] += r
-            Q[k][k - 1] += r
-            Q[k][k] -= 2 * r
-    return Q
-
-
-def kingman_generator_exact(n_max: int, theta: Fraction = Fraction(0)) -> list[list[Fraction]]:
-    """Block-counting generator on 0..n_max, rate n(n-1) + theta n down."""
-    Q = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-    for n in range(1, n_max + 1):
-        r = Fraction(n * (n - 1)) + theta * n
-        if r:
-            Q[n][n - 1] += r
-            Q[n][n] -= r
-    return Q
-
-
 def moran_ladder_product_exact(N: int) -> list[list[Fraction]]:
     """The Moran generator assembled as raise (1 - raise) lower^2, exact."""
-    low = algebra._finite_lowering_exact(N)
-    rai = algebra._finite_raising_exact(N)
+    low = algebra._finite_lowering(N, Fraction)
+    rai = algebra._finite_raising(N, Fraction)
     eye = [[Fraction(int(i == j)) for j in range(N + 1)] for i in range(N + 1)]
     low2 = algebra._mat_mul(low, low)
     return algebra._mat_mul(algebra._mat_mul(rai, algebra._mat_sub(eye, rai)), low2)
@@ -254,11 +224,12 @@ def moran_kingman_residual_exact(N: int) -> Fraction:
     """Max |K D - D K_hat^T| of the Moran / block-counting pair, exact.
 
     All three matrices have rational entries, so a zero here certifies the
-    identity outright rather than bounding floating-point error.
+    identity outright rather than bounding floating-point error.  The
+    generators are the models' own rates, evaluated in ``Fraction``.
     """
-    K = moran_generator_exact(N)
-    Khat = kingman_generator_exact(N)
-    D = algebra.falling_factorial_matrix_exact(N)
+    K = processes.rational_generator(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
+    Khat = processes.rational_generator(processes.kingman_block(n_max=N))
+    D = algebra.falling_factorial_matrix(N, Fraction)
     KhatT = [[Khat[j][i] for j in range(N + 1)] for i in range(N + 1)]
     resid = algebra._mat_sub(algebra._mat_mul(K, D), algebra._mat_mul(D, KhatT))
     return max(abs(v) for row in resid for v in row)
@@ -337,6 +308,16 @@ def _partials(D: PointwiseDuality, u: float, w, h: float, slot: str) -> tuple[fl
     return ((hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h))
 
 
+def _on_grid(side, grid: Sequence) -> Operator1D:
+    """A 1-d diffusion model as an :class:`Operator1D`, its coefficients evaluated once per point."""
+    if not isinstance(side, DiffusionModel):
+        return side
+    coefs = {float(at): processes.drift_diffusion(side, at) for at in grid}
+    if any(a.shape != (1, 1) for _, a in coefs.values()):
+        raise ValueError("pointwise checks support one-dimensional diffusions")
+    return Operator1D(alpha=lambda at: 0.5 * float(coefs[at][1][0, 0]), beta=lambda at: float(coefs[at][0][0]))
+
+
 def _apply_side(side, D: PointwiseDuality, u: float, w, h: float, slot: str) -> float:
     """Apply one side's operator to the duality function at a grid point."""
     if isinstance(side, Operator1D):
@@ -360,15 +341,8 @@ def _apply_side(side, D: PointwiseDuality, u: float, w, h: float, slot: str) -> 
                 if rate
             )
         )
-    if isinstance(side, ProcessSpec):
-        if not side.is_diffusion:
-            raise ValueError("pass jump processes as a GeneratorMatrix")
-        at = u if slot == "left" else w
-        b, a = processes.drift_diffusion(side, at)
-        if a.shape != (1, 1):
-            raise ValueError("pointwise checks support one-dimensional diffusions")
-        d1, d2 = _partials(D, u, w, h, slot)
-        return 0.5 * float(a[0, 0]) * d2 + float(b[0]) * d1
+    if isinstance(side, JumpModel):
+        raise ValueError("pass jump processes as a GeneratorMatrix")
     raise TypeError(f"unsupported operator description {type(side)!r}")
 
 
@@ -384,10 +358,11 @@ def check_pointwise_duality(
 ) -> ResidualReport:
     """Max over a grid of |(K_l D)(u, w) - (K_r D)(u, w)|.
 
-    ``left`` acts on the first slot (a 1-d diffusion spec or
+    ``left`` acts on the first slot (a 1-d diffusion model or
     :class:`Operator1D`); ``right`` acts on the second slot (a jump
-    :class:`GeneratorMatrix`, 1-d diffusion spec, or :class:`Operator1D`).
+    :class:`GeneratorMatrix`, 1-d diffusion model, or :class:`Operator1D`).
     """
+    left, right = _on_grid(left, left_grid), _on_grid(right, right_grid)
     worst = 0.0
     for u in left_grid:
         for w in right_grid:
@@ -404,6 +379,15 @@ def _mono(x: Sequence[float], n: Sequence[int]) -> float:
     return out
 
 
+def _mono_partial(x: Sequence[float], n: Sequence[int], *sites: int) -> float:
+    """The derivative of ``prod x_i^{n_i}`` in the listed coordinates."""
+    powers, coef = list(n), 1
+    for i in sites:
+        coef *= powers[i]
+        powers[i] -= 1
+    return coef * _mono(x, powers) if coef else 0.0
+
+
 def stepping_stone_pointwise_residual(
     kernel: Sequence[Sequence[float]],
     x_points: Sequence[Sequence[float]],
@@ -411,43 +395,23 @@ def stepping_stone_pointwise_residual(
 ) -> float:
     """Pointwise duality residual of the stepping-stone pair.
 
-    Left side: the forward diffusion generator applied to the product-power
-    duality function analytically.  Right side: the migration/coalescence
-    dual chain acting on the occupation argument.
+    Left side: the forward diffusion generator, from the model's
+    coefficients, applied to the product-power duality function
+    analytically.  Right side: the migration/coalescence dual chain's rates
+    acting on the occupation argument.
     """
     spec = processes.stepping_stone_forward(kernel)
     dual = processes.stepping_stone_dual(kernel)
-    P = np.asarray(kernel, dtype=float)
-    d = P.shape[0]
-
-    def d1(x, n, i):
-        if n[i] < 1:
-            return 0.0
-        shifted = list(n)
-        shifted[i] -= 1
-        return n[i] * _mono(x, shifted)
-
-    def d2(x, n, i):
-        if n[i] < 2:
-            return 0.0
-        shifted = list(n)
-        shifted[i] -= 2
-        return n[i] * (n[i] - 1) * _mono(x, shifted)
-
-    assert spec.kernel is not None
+    b, a = spec.coefficients(np.asarray(x_points, dtype=float))
+    sites = range(spec.dim)
     worst = 0.0
-    for x in x_points:
+    for x, bx, ax in zip(x_points, b, a):
         for n in n_points:
-            lhs = 0.0
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    lhs += P[i, j] * (x[j] - x[i]) * (d1(x, n, i) - d1(x, n, j))
-                lhs += x[i] * (1.0 - x[i]) * d2(x, n, i)
+            lhs = sum(bx[i] * _mono_partial(x, n, i) for i in sites)
+            lhs += 0.5 * sum(ax[i, j] * _mono_partial(x, n, i, j) for i in sites for j in sites if ax[i, j])
             base = _mono(x, n)
             rhs = 0.0
-            for target, rate in processes._rates_from_state(dual, tuple(n)):
+            for target, rate in dual.rates(tuple(n)):
                 rhs += rate * (_mono(x, target) - base)
             worst = max(worst, abs(lhs - rhs))
     return worst

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dualities, processes
 from .dualities import DualityFamily, EvalPoint
-from .processes import ProcessSpec
+from .processes import DiffusionModel, JumpModel
 
 __all__ = [
     "EstimatorConfig",
@@ -99,29 +99,8 @@ def _mean_se(values: Sequence[float]) -> SideEstimate:
     return SideEstimate(mean=mean, se=se, n=n)
 
 
-def _lift_simplex(endpoints: np.ndarray) -> np.ndarray:
-    """Append the implicit last type ``1 - sum`` to each row of free coordinates.
-
-    The samplers track the first d - 1 frequencies; simplex-valued duality
-    functions need all d.  A renormalised row can sum to 1 + 2**-52, so
-    the restored coordinate is clamped at zero.
-    """
-    last = np.maximum(1.0 - endpoints.sum(axis=1), 0.0)
-    return np.concatenate([endpoints, last[:, None]], axis=1)
-
-
-def _lift_discrete(spec: ProcessSpec, endpoint: tuple[int, ...]) -> tuple[int, ...]:
-    if spec.kind == "moran-multitype":
-        assert spec.N is not None
-        return endpoint + (spec.N - sum(endpoint),)
-    return endpoint
-
-
-def _needs_lift(family: DualityFamily, spec: ProcessSpec) -> bool:
-    return family.kind in ("product-gamma", "limiting-sip", "moran-self-dual", "monomial") and spec.kind in (
-        "wf-multitype",
-        "moran-multitype",
-    )
+# families that read the implicit last type of the d-type states (spec.lift)
+_LIFTED_FAMILIES = ("product-gamma", "limiting-sip", "moran-self-dual", "monomial")
 
 
 def _occupied(v: Sequence[int]) -> int:
@@ -129,7 +108,7 @@ def _occupied(v: Sequence[int]) -> int:
 
 
 def estimate_duality_side(
-    spec: ProcessSpec,
+    spec: DiffusionModel | JumpModel,
     family: DualityFamily,
     start,
     frozen,
@@ -146,7 +125,7 @@ def estimate_duality_side(
 
     Along a diffusion, ``processes.diffusion_endpoints`` simulates every
     path first; the endpoints are lifted to the simplex in one array
-    expression (d-type Wright-Fisher), and the loop over paths is one
+    expression (``spec.lift``), and the loop over paths is one
     ``dualities.evaluate`` call per row.  ``frozen`` is converted once per
     call, on both sides.
 
@@ -160,29 +139,29 @@ def estimate_duality_side(
         raise ValueError("endpoint_slot must be 'first' or 'second'")
     if cfg.t != t:
         cfg = EstimatorConfig(cfg.n_paths, cfg.seed, cfg.dt, t, cfg.antithetic)
-    limiting_jump = family.kind == "limiting-sip" and spec.is_jump
-    lift = _needs_lift(family, spec)
+    lift = family.kind in _LIFTED_FAMILIES
 
-    if spec.is_diffusion:
+    if isinstance(spec, DiffusionModel):
         if t == 0:
-            endpoints = np.atleast_1d(np.asarray(start, dtype=float))[None, :]
+            endpoints = spec.start(start)[None, :]
         else:
             endpoints = processes.diffusion_endpoints(
                 spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic
             )
         if lift:
-            endpoints = _lift_simplex(endpoints)
+            endpoints = spec.lift(endpoints)
         point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=True)
         values = [dualities.evaluate(family, point(tuple(row.tolist()))) for row in endpoints]
         if t == 0:
             return SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
         return _mean_se(values)
 
-    if not spec.is_jump:
+    if not isinstance(spec, JumpModel):
         raise ValueError(f"{spec.kind} is neither a diffusion nor a jump process")
+    limiting_jump = family.kind == "limiting-sip"
     start_t = tuple(int(v) for v in np.atleast_1d(start))
     if limiting_jump:
-        full0 = _lift_discrete(spec, start_t) if lift else start_t
+        full0 = spec.lift(start_t) if lift else start_t
         if _occupied(full0) != len(full0):
             raise ValueError(
                 "limiting-sip estimation requires every site occupied at the start; "
@@ -193,7 +172,7 @@ def estimate_duality_side(
     for i in range(cfg.n_paths):
         rng = processes.path_rng(cfg.seed, i)
         endpoint = start_t if t == 0 else processes.sample_jump(spec, start_t, t, rng)
-        disc = _lift_discrete(spec, endpoint) if lift else endpoint
+        disc = spec.lift(endpoint) if lift else endpoint
         value = dualities.evaluate(family, point(disc))
         if limiting_jump and _occupied(disc) != len(disc):
             value = 0.0

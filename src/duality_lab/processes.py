@@ -1,43 +1,45 @@
-"""Process specifications, generator matrices and trajectory samplers.
+"""Process models, generator matrices and trajectory samplers.
 
-Covered processes:
+Each process kind is one frozen dataclass, built by its module factory:
+diffusions on [0, 1] with polynomial coefficients whose moment dual is a
+Markov chain (``wf_general_1d``: neutral, mutation, selection), the d-type
+Wright-Fisher diffusion with symmetric parent-independent mutation
+(``wf_multitype``), the Brownian energy process (``bep``), the d-type Moran
+model (``moran_multitype``), the symmetric inclusion process (``sip``), the
+block-counting chain with mutation and selection (``kingman_block``) and
+the stepping-stone diffusion with its migration/coalescence dual
+(``stepping_stone_forward`` / ``_dual``).
 
-* one-dimensional diffusions on [0, 1] with polynomial coefficients
-  subject to the sign/balance conditions that make their moment dual a
-  Markov chain (``wf-general-1d``), including the neutral, mutation and
-  selection Wright-Fisher generators;
-* the d-type Wright-Fisher diffusion with symmetric parent-independent
-  mutation (``wf-multitype``) and the Brownian energy process (``bep``);
-* the d-type Moran model (``moran-multitype``) and the symmetric inclusion
-  process (``sip``);
-* the coalescent block-counting chain with mutation down-jumps and
-  selection up-jumps (``kingman-block``);
-* the stepping-stone diffusion on a finite site set and its dual
-  migration/coalescence chain (``stepping-stone-forward`` / ``-dual``).
-
-Jump chains are realized as sparse (CSR) rate matrices over an enumerated
-state space: every chain here moves one particle or one count per jump, so
-a row holds a handful of rates however many states there are, and a dense
-n x n array would spend memory and time quadratic in n on zeros.  The
-samplers read the same rows through per-state cumulative tables.
-Diffusions expose drift/covariance coefficients and seeded Euler-Maruyama
-sampling.  Specs and generators are immutable after construction;
-samplers are pure given their random stream.
+A :class:`JumpModel` lists the positive rates out of a state,
+``rates(state, num=float)``, and enumerates its states,
+``index(truncation)``.  In floats the rates fill a sparse (CSR) rate matrix,
+:func:`generator_matrix`: every chain here moves one particle or one count
+per jump, so a row holds a handful of rates however many states there are.
+With ``num=Fraction`` the same rates give the exact rational generator,
+:func:`rational_generator`.  The jump sampler reads the CSR rows through
+per-state cumulative tables.  A :class:`DiffusionModel` gives its drift and
+covariance on a batch of states, ``coefficients(x)``, and its domain;
+:func:`diffusion_endpoints` runs seeded Euler-Maruyama paths from a checked
+start.  ``wf_general_1d`` is both: a diffusion and, through its rates, its
+moment dual chain.  Models and generators are immutable; samplers are pure
+given their random stream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, fsum, sqrt
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
 __all__ = [
-    "ProcessSpec",
+    "JumpModel",
+    "DiffusionModel",
     "StateIndex",
     "GeneratorMatrix",
     "wf_general_1d",
@@ -50,156 +52,17 @@ __all__ = [
     "stepping_stone_dual",
     "enumerate_states",
     "generator_matrix",
+    "rational_generator",
     "drift_diffusion",
     "sample_jump",
-    "sample_diffusion",
     "diffusion_endpoints",
     "path_rng",
-    "DIFFUSION_KINDS",
-    "JUMP_KINDS",
 ]
-
-DIFFUSION_KINDS = ("wf-general-1d", "wf-multitype", "bep", "stepping-stone-forward")
-JUMP_KINDS = ("moran-multitype", "sip", "kingman-block", "stepping-stone-dual")
 
 _STATE_LIMIT = 5_000_000
 _COEF_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class ProcessSpec:
-    """Validated description of one process; build via the module factories."""
-
-    kind: str
-    d: int | None = None
-    N: int | None = None
-    m: float | None = None
-    theta: float | None = None
-    sigma: float | None = None
-    n_max: int | None = None
-    rate_scale: float = 1.0
-    alpha: tuple[tuple[int, float], ...] | None = None
-    beta: tuple[tuple[int, float], ...] | None = None
-    kernel: tuple[tuple[float, ...], ...] | None = None
-
-    @property
-    def is_diffusion(self) -> bool:
-        return self.kind in DIFFUSION_KINDS
-
-    @property
-    def is_jump(self) -> bool:
-        return self.kind in JUMP_KINDS
-
-
-def _validate_balance(coefs: dict[int, float], pivot: int, name: str) -> None:
-    # all coefficients away from the pivot are non-negative and the pivot
-    # carries minus their total mass, so jump rates come out non-negative
-    # and the dual chain conserves probability
-    total = 0.0
-    for k, v in coefs.items():
-        if k == pivot:
-            continue
-        if v < 0:
-            raise ValueError(f"{name}_{k} must be non-negative")
-        total += v
-    pivot_val = coefs.get(pivot, 0.0)
-    if abs(pivot_val + total) > _COEF_TOL * max(1.0, total):
-        raise ValueError(f"{name}_{pivot} must equal minus the sum of the other {name} coefficients")
-
-
-def wf_general_1d(
-    alpha: dict[int, float] | Sequence[tuple[int, float]],
-    beta: dict[int, float] | Sequence[tuple[int, float]] = (),
-) -> ProcessSpec:
-    """Diffusion on [0, 1] with generator ``alpha(x) d^2/dx^2 + beta(x) d/dx``.
-
-    ``alpha`` maps powers k >= 1 to coefficients, ``beta`` maps powers
-    k >= 0.  Validation enforces the balance conditions (the k = 2 and k = 1
-    coefficients equal minus the rest, all others non-negative) under which
-    the moment dual is a continuous-time Markov chain.
-    """
-    alpha = dict(alpha)
-    beta = dict(beta)
-    if not alpha:
-        raise ValueError("alpha must contain at least one coefficient")
-    if any(k < 1 for k in alpha):
-        raise ValueError("alpha powers start at k = 1")
-    if any(k < 0 for k in beta):
-        raise ValueError("beta powers start at k = 0")
-    _validate_balance(alpha, 2, "alpha")
-    if beta:
-        _validate_balance(beta, 1, "beta")
-    return ProcessSpec(
-        kind="wf-general-1d",
-        alpha=tuple(sorted((int(k), float(v)) for k, v in alpha.items())),
-        beta=tuple(sorted((int(k), float(v)) for k, v in beta.items())),
-    )
-
-
-def wf_multitype(d: int, theta: float) -> ProcessSpec:
-    if d < 2:
-        raise ValueError("wf-multitype needs d >= 2")
-    if theta < 0:
-        raise ValueError("mutation rate theta must be >= 0")
-    return ProcessSpec(kind="wf-multitype", d=d, theta=float(theta))
-
-
-def moran_multitype(N: int, d: int, theta: float, rate_scale: float = 1.0) -> ProcessSpec:
-    """d-type Moran model with population N and mutation rate theta.
-
-    ``rate_scale`` multiplies every jump rate.  The default matches the
-    d-type definition (resampling rate 1/2 per ordered pair); the two-type
-    chain whose duality with the rate n(n-1) block-counting process is an
-    exact identity runs twice as fast, ``rate_scale=2``.
-    """
-    if N < 1 or d < 2 or theta < 0:
-        raise ValueError("moran-multitype needs N >= 1, d >= 2, theta >= 0")
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    return ProcessSpec(kind="moran-multitype", N=N, d=d, theta=float(theta), rate_scale=float(rate_scale))
-
-
-def sip(d: int, m: float) -> ProcessSpec:
-    if d < 2 or m < 0:
-        raise ValueError("sip needs d >= 2 and m >= 0")
-    return ProcessSpec(kind="sip", d=d, m=float(m))
-
-
-def bep(d: int, m: float) -> ProcessSpec:
-    if d < 2 or m < 0:
-        raise ValueError("bep needs d >= 2 and m >= 0")
-    return ProcessSpec(kind="bep", d=d, m=float(m))
-
-
-def kingman_block(theta: float = 0.0, sigma: float = 0.0, n_max: int = 200) -> ProcessSpec:
-    """Block-counting chain: rate n(n-1)+theta*n down, sigma*n up."""
-    if theta < 0 or sigma < 0 or n_max < 1:
-        raise ValueError("kingman-block needs theta, sigma >= 0 and n_max >= 1")
-    return ProcessSpec(kind="kingman-block", theta=float(theta), sigma=float(sigma), n_max=n_max)
-
-
-def _validate_kernel(kernel: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
-    P = np.asarray(kernel, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
-        raise ValueError("kernel must be a square matrix over at least two sites")
-    off = P.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < 0):
-        raise ValueError("off-diagonal kernel entries must be non-negative")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > _COEF_TOL):
-        raise ValueError("kernel rows must sum to one")
-    return tuple(tuple(float(v) for v in row) for row in P)
-
-
-def stepping_stone_forward(kernel: Sequence[Sequence[float]]) -> ProcessSpec:
-    k = _validate_kernel(kernel)
-    if len(k) > 16:
-        raise ValueError("stepping-stone-forward supports at most 16 sites")
-    return ProcessSpec(kind="stepping-stone-forward", kernel=k)
-
-
-def stepping_stone_dual(kernel: Sequence[Sequence[float]]) -> ProcessSpec:
-    return ProcessSpec(kind="stepping-stone-dual", kernel=_validate_kernel(kernel))
+Transitions = list[tuple[tuple[int, ...], float | Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +120,454 @@ def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
     return StateIndex(d=d, N=N, mode=mode, states=states, pos={s: i for i, s in enumerate(states)})
 
 
+# ---------------------------------------------------------------------------
+# models
+# ---------------------------------------------------------------------------
+
+
+class JumpModel:
+    """A continuous-time chain on occupation vectors.
+
+    Subclasses give ``rates(k, num=float)``, the transitions out of state
+    ``k`` with their rates, all positive, in the number type ``num``
+    (``float`` or ``Fraction``), and ``index(truncation)``, the enumerated
+    state space; a transition that leaves it is dropped.
+    """
+
+    kind: ClassVar[str]
+    #: the particle total never grows, so a start state bounds the space
+    total_bounded: ClassVar[bool] = False
+
+    def lift(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        """The state with any implicit last coordinate written out."""
+        return state
+
+
+class DiffusionModel:
+    """A diffusion with generator ``(1/2) sum a_ij d_i d_j + sum b_i d_i``.
+
+    Subclasses give ``dim``; the domain, named by ``domain`` and tested by
+    ``_inside(x)``; ``_drift_covariance(x)``, the drift (paths, dim) and
+    covariance at each row of ``x``, the covariance as (paths, dim, dim) or,
+    when the coordinates take independent noise, as the variances (paths,
+    dim); and ``project(x, prev)``, which maps the states after one
+    Euler-Maruyama step from ``prev`` back into the domain.
+    """
+
+    kind: ClassVar[str]
+    domain: ClassVar[str]
+
+    def coefficients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Drift (paths, dim) and covariance (paths, dim, dim) at each row of ``x``."""
+        b, a = self._drift_covariance(np.asarray(x, dtype=float))
+        if a.ndim == 2:
+            a = a[:, :, None] * np.eye(a.shape[1])
+        return b, a
+
+    def start(self, x0: Sequence[float] | float) -> np.ndarray:
+        """The start as a float vector, after checking its size and domain."""
+        x = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x.shape != (self.dim,):
+            raise ValueError(f"{self.kind} start {x0!r} must have {self.dim} coordinates")
+        if not self._inside(x):
+            raise ValueError(f"{self.kind} start {x0!r} is outside the domain: {self.domain}")
+        return x
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """Rows of states with any implicit last coordinate written out."""
+        return x
+
+
+def _in_unit_cube(x: np.ndarray) -> bool:
+    return bool(((x >= 0.0) & (x <= 1.0)).all())
+
+
+def _clip_unit(x: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    return np.clip(x, 0.0, 1.0, out=x)
+
+
+def _validate_balance(coefs: dict[int, float], pivot: int, name: str) -> None:
+    # all coefficients away from the pivot are non-negative and the pivot
+    # carries minus their total mass, so jump rates come out non-negative
+    # and the dual chain conserves probability
+    total = 0.0
+    for k, v in coefs.items():
+        if k == pivot:
+            continue
+        if v < 0:
+            raise ValueError(f"{name}_{k} must be non-negative")
+        total += v
+    pivot_val = coefs.get(pivot, 0.0)
+    if abs(pivot_val + total) > _COEF_TOL * max(1.0, total):
+        raise ValueError(f"{name}_{pivot} must equal minus the sum of the other {name} coefficients")
+
+
+@dataclass(frozen=True)
+class WfGeneral1D(DiffusionModel, JumpModel):
+    """Diffusion ``alpha(x) d^2/dx^2 + beta(x) d/dx`` on [0, 1] and its moment dual.
+
+    ``alpha`` and ``beta`` are sorted (power, coefficient) pairs; see
+    :func:`wf_general_1d`.  The covariance is ``a = 2 alpha`` and the drift
+    ``b = beta``; the dual chain jumps n -> n+k-2 at rate n(n-1) alpha_k and
+    n -> n+k-1 at rate n beta_k.
+    """
+
+    alpha: tuple[tuple[int, float], ...]
+    beta: tuple[tuple[int, float], ...] = ()
+
+    kind: ClassVar[str] = "wf-general-1d"
+    domain: ClassVar[str] = "x in [0, 1]"
+    dim: ClassVar[int] = 1
+
+    def __post_init__(self) -> None:
+        if not self.alpha:
+            raise ValueError("alpha must contain at least one coefficient")
+        if any(k < 1 for k, _ in self.alpha):
+            raise ValueError("alpha powers start at k = 1")
+        if any(k < 0 for k, _ in self.beta):
+            raise ValueError("beta powers start at k = 0")
+        _validate_balance(dict(self.alpha), 2, "alpha")
+        if self.beta:
+            _validate_balance(dict(self.beta), 1, "beta")
+
+    def index(self, truncation: int | None) -> StateIndex:
+        return enumerate_states(1, 200 if truncation is None else truncation, "down-closed")
+
+    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+        (n,) = k
+        out = []
+        for pw, coef in self.alpha:
+            rate = n * (n - 1) * num(coef)
+            if pw != 2 and rate > 0:
+                out.append(((n + pw - 2,), rate))
+        for pw, coef in self.beta:
+            rate = n * num(coef)
+            if pw != 1 and rate > 0:
+                out.append(((n + pw - 1,), rate))
+        return out
+
+    _inside = staticmethod(_in_unit_cube)
+    project = staticmethod(_clip_unit)
+
+    def _drift_covariance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xv = x[:, 0]
+        a = 2.0 * sum(c * xv**k for k, c in self.alpha)
+        b = sum(c * xv**k for k, c in self.beta) if self.beta else np.zeros_like(xv)
+        return b[:, None], a[:, None]
+
+
+@dataclass(frozen=True)
+class WfMultitype(DiffusionModel):
+    """d-type Wright-Fisher diffusion with symmetric parent-independent mutation.
+
+    The state lists the first d-1 type frequencies; the last is implicit.
+    """
+
+    d: int
+    theta: float
+
+    kind: ClassVar[str] = "wf-multitype"
+    domain: ClassVar[str] = "non-negative frequencies with sum <= 1"
+
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ValueError("wf-multitype needs d >= 2")
+        if self.theta < 0:
+            raise ValueError("mutation rate theta must be >= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.d - 1
+
+    def _inside(self, x: np.ndarray) -> bool:
+        return bool((x >= 0.0).all() and x.sum() <= 1.0 + 1e-12)
+
+    def _drift_covariance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        drift = (self.theta / (self.d - 1)) * (1.0 - self.d * x)
+        if self.d == 2:
+            # one free coordinate: the variance x(1-x); x - x*x differs in
+            # the last bit at about 39% of points
+            return drift, x * (1.0 - x)
+        return drift, x[:, :, None] * np.eye(self.d - 1) - x[:, :, None] * x[:, None, :]
+
+    def project(self, x: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        np.clip(x, 0.0, 1.0, out=x)
+        if self.d > 2:
+            # with one free coordinate the clip alone keeps it on the simplex
+            total = x.sum(axis=1)
+            over = total > 1.0
+            if np.any(over):
+                x[over] /= total[over, None]
+        return x
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        # a renormalised row can sum to 1 + 2**-52: clamp the last type at zero
+        last = np.maximum(1.0 - x.sum(axis=1), 0.0)
+        return np.concatenate([x, last[:, None]], axis=1)
+
+
+@dataclass(frozen=True)
+class Bep(DiffusionModel):
+    """Brownian energy process on d sites with parameter m."""
+
+    d: int
+    m: float
+
+    kind: ClassVar[str] = "bep"
+    domain: ClassVar[str] = "non-negative energies"
+
+    def __post_init__(self) -> None:
+        if self.d < 2 or self.m < 0:
+            raise ValueError("bep needs d >= 2 and m >= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.d
+
+    def _inside(self, x: np.ndarray) -> bool:
+        return bool((x >= 0.0).all())
+
+    def _drift_covariance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        total = x.sum(axis=1)
+        drift = (self.m / 4.0) * (total[:, None] - self.d * x)
+        cov = total[:, None, None] * (x[:, :, None] * np.eye(self.d)) - x[:, :, None] * x[:, None, :]
+        return drift, cov
+
+    def project(self, x: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        np.clip(x, 0.0, None, out=x)
+        # the dynamics conserve the total energy; restore it after the clip
+        # so the identification with the simplex diffusion holds
+        total = prev.sum(axis=1)
+        sums = x.sum(axis=1)
+        fix = sums > 0
+        x[fix] *= (total[fix] / sums[fix])[:, None]
+        return x
+
+
+def _inclusion_moves(k: tuple[int, ...], weight, mut) -> Transitions:
+    """One particle i -> j at rate ``weight * k_i * (k_j + mut)``, every ordered pair."""
+    d = len(k)
+    out = []
+    for i in range(d):
+        if k[i] == 0:
+            continue
+        for j in range(d):
+            if i == j:
+                continue
+            rate = weight * k[i] * (k[j] + mut)
+            if rate > 0:
+                target = list(k)
+                target[i] -= 1
+                target[j] += 1
+                out.append((tuple(target), rate))
+    return out
+
+
+@dataclass(frozen=True)
+class MoranMultitype(JumpModel):
+    """d-type Moran model with population N and mutation rate theta.
+
+    The state lists the first d-1 type counts; the last type is implicit.
+    ``rate_scale`` multiplies every jump rate.  The default matches the
+    d-type definition (resampling rate 1/2 per ordered pair); the two-type
+    chain whose duality with the rate n(n-1) block-counting process is an
+    exact identity runs twice as fast, ``rate_scale=2``.
+    """
+
+    N: int
+    d: int
+    theta: float
+    rate_scale: float = 1.0
+
+    kind: ClassVar[str] = "moran-multitype"
+
+    def __post_init__(self) -> None:
+        if self.N < 1 or self.d < 2 or self.theta < 0:
+            raise ValueError("moran-multitype needs N >= 1, d >= 2, theta >= 0")
+        if self.rate_scale <= 0:
+            raise ValueError("rate_scale must be positive")
+
+    def index(self, truncation: int | None) -> StateIndex:
+        return enumerate_states(self.d - 1, self.N, "down-closed")
+
+    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+        # resampling moves one individual between any two types, the
+        # implicit last one included, as in the inclusion process
+        full = self.lift(k)
+        if full[-1] < 0:
+            raise ValueError("state exceeds the population size")
+        mut = 2 * num(self.theta) / (self.d - 1)
+        return [(target[:-1], rate) for target, rate in _inclusion_moves(full, num(self.rate_scale) / 2, mut)]
+
+    def lift(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        return state + (self.N - sum(state),)
+
+
+@dataclass(frozen=True)
+class Sip(JumpModel):
+    """Symmetric inclusion process on d sites with parameter m."""
+
+    d: int
+    m: float
+
+    kind: ClassVar[str] = "sip"
+    total_bounded: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        if self.d < 2 or self.m < 0:
+            raise ValueError("sip needs d >= 2 and m >= 0")
+
+    def index(self, truncation: int | None) -> StateIndex:
+        if truncation is None:
+            raise ValueError("sip needs the conserved particle total as truncation")
+        return enumerate_states(self.d, truncation, "conserved")
+
+    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+        return _inclusion_moves(k, num(1) / 2, num(self.m) / 2)
+
+
+@dataclass(frozen=True)
+class KingmanBlock(JumpModel):
+    """Block-counting chain: rate n(n-1) + theta n down, sigma n up, on 0..n_max."""
+
+    theta: float = 0.0
+    sigma: float = 0.0
+    n_max: int = 200
+
+    kind: ClassVar[str] = "kingman-block"
+
+    def __post_init__(self) -> None:
+        if self.theta < 0 or self.sigma < 0 or self.n_max < 1:
+            raise ValueError("kingman-block needs theta, sigma >= 0 and n_max >= 1")
+
+    def index(self, truncation: int | None) -> StateIndex:
+        return enumerate_states(1, self.n_max if truncation is None else truncation, "down-closed")
+
+    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+        (n,) = k
+        out = []
+        down = n * (n - 1) + num(self.theta) * n
+        if down > 0:
+            out.append(((n - 1,), down))
+        up = num(self.sigma) * n
+        if up > 0:
+            out.append(((n + 1,), up))
+        return out
+
+
+def _validate_kernel(kernel: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    P = np.asarray(kernel, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
+        raise ValueError("kernel must be a square matrix over at least two sites")
+    if np.any((P < 0) & ~np.eye(len(P), dtype=bool)):
+        raise ValueError("off-diagonal kernel entries must be non-negative")
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > _COEF_TOL):
+        raise ValueError("kernel rows must sum to one")
+    return tuple(tuple(float(v) for v in row) for row in P)
+
+
+@dataclass(frozen=True)
+class SteppingStoneForward(DiffusionModel):
+    """Stepping-stone diffusion: one allele frequency per site, migration kernel P."""
+
+    kernel: tuple[tuple[float, ...], ...]
+
+    kind: ClassVar[str] = "stepping-stone-forward"
+    domain: ClassVar[str] = "every site frequency in [0, 1]"
+
+    def __post_init__(self) -> None:
+        if len(self.kernel) > 16:
+            raise ValueError("stepping-stone-forward supports at most 16 sites")
+
+    @property
+    def dim(self) -> int:
+        return len(self.kernel)
+
+    _inside = staticmethod(_in_unit_cube)
+    project = staticmethod(_clip_unit)
+
+    def _drift_covariance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P = np.asarray(self.kernel)
+        return x @ P.T + x @ P - x * (1.0 + P.sum(axis=0)), 2.0 * x * (1.0 - x)
+
+
+@dataclass(frozen=True)
+class SteppingStoneDual(JumpModel):
+    """Migration/coalescence chain dual to the stepping-stone diffusion."""
+
+    kernel: tuple[tuple[float, ...], ...]
+
+    kind: ClassVar[str] = "stepping-stone-dual"
+    total_bounded: ClassVar[bool] = True
+
+    def index(self, truncation: int | None) -> StateIndex:
+        if truncation is None:
+            raise ValueError("stepping-stone-dual needs a particle-number truncation")
+        return enumerate_states(len(self.kernel), truncation, "down-closed")
+
+    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+        P = self.kernel
+        d = len(k)
+        out = []
+        for i in range(d):
+            if k[i] == 0:
+                continue
+            for j in range(d):
+                if i == j:
+                    continue
+                # both kernel directions move a walker from i to j
+                rate = k[i] * (num(P[i][j]) + num(P[j][i]))
+                if rate > 0:
+                    target = list(k)
+                    target[i] -= 1
+                    target[j] += 1
+                    out.append((tuple(target), rate))
+            if k[i] > 1:
+                target = list(k)
+                target[i] -= 1
+                out.append((tuple(target), num(k[i] * (k[i] - 1))))
+        return out
+
+
+def _pairs(coefs: dict[int, float] | Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    return tuple(sorted((int(k), float(v)) for k, v in dict(coefs).items()))
+
+
+def wf_general_1d(
+    alpha: dict[int, float] | Sequence[tuple[int, float]],
+    beta: dict[int, float] | Sequence[tuple[int, float]] = (),
+) -> WfGeneral1D:
+    """Diffusion on [0, 1] with generator ``alpha(x) d^2/dx^2 + beta(x) d/dx``.
+
+    ``alpha`` maps powers k >= 1 to coefficients, ``beta`` maps powers
+    k >= 0.  Validation enforces the balance conditions (the k = 2 and k = 1
+    coefficients equal minus the rest, all others non-negative) under which
+    the moment dual is a continuous-time Markov chain.
+    """
+    return WfGeneral1D(alpha=_pairs(alpha), beta=_pairs(beta))
+
+
+# models whose parameters need no conversion are their own factories
+wf_multitype = WfMultitype
+moran_multitype = MoranMultitype
+sip = Sip
+bep = Bep
+kingman_block = KingmanBlock
+
+
+def stepping_stone_forward(kernel: Sequence[Sequence[float]]) -> SteppingStoneForward:
+    return SteppingStoneForward(kernel=_validate_kernel(kernel))
+
+
+def stepping_stone_dual(kernel: Sequence[Sequence[float]]) -> SteppingStoneDual:
+    return SteppingStoneDual(kernel=_validate_kernel(kernel))
+
+
+# ---------------------------------------------------------------------------
+# generators and coefficients
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Sparse rate matrix over an enumerated state space.
@@ -268,7 +579,6 @@ class GeneratorMatrix:
 
     Q: sparse.csr_array
     index: StateIndex
-    conserved: str | None = None
 
     def __post_init__(self) -> None:
         Q = self.Q
@@ -286,181 +596,56 @@ class GeneratorMatrix:
             raise ValueError("rows must sum to zero")
 
 
-def _rates_from_state(spec: ProcessSpec, k: tuple[int, ...]) -> list[tuple[tuple[int, ...], float]]:
-    """All transitions out of one state with their rates."""
-    kind = spec.kind
-    out: list[tuple[tuple[int, ...], float]] = []
-    if kind == "sip":
-        m = spec.m or 0.0
-        d = len(k)
-        for i in range(d):
-            if k[i] == 0:
-                continue
-            for j in range(d):
-                if i == j:
-                    continue
-                rate = 0.5 * k[i] * (k[j] + m / 2.0)
-                if rate > 0:
-                    target = list(k)
-                    target[i] -= 1
-                    target[j] += 1
-                    out.append((tuple(target), rate))
-    elif kind == "moran-multitype":
-        # state lists the first d-1 type counts; the last type is implicit
-        assert spec.N is not None and spec.d is not None and spec.theta is not None
-        N, d, theta = spec.N, spec.d, spec.theta
-        scale = spec.rate_scale
-        mut = 2.0 * theta / (d - 1)
-        rest = N - sum(k)
-        if rest < 0:
-            raise ValueError("state exceeds the population size")
-        for i in range(d - 1):
-            for j in range(d - 1):
-                if i == j:
-                    continue
-                # resample between explicit types i and j
-                rate = scale * 0.5 * k[i] * (k[j] + mut)
-                if rate > 0:
-                    target = list(k)
-                    target[i] -= 1
-                    target[j] += 1
-                    out.append((tuple(target), rate))
-            up = scale * 0.5 * rest * (k[i] + mut)
-            if up > 0:
-                target = list(k)
-                target[i] += 1
-                out.append((tuple(target), up))
-            down = scale * 0.5 * k[i] * (rest + mut)
-            if down > 0:
-                target = list(k)
-                target[i] -= 1
-                out.append((tuple(target), down))
-    elif kind == "kingman-block":
-        assert spec.theta is not None and spec.sigma is not None and spec.n_max is not None
-        (n,) = k
-        down = n * (n - 1) + spec.theta * n
-        if down > 0:
-            out.append(((n - 1,), down))
-        # the up-rate is switched off at the truncation boundary
-        if spec.sigma > 0 and n < spec.n_max:
-            out.append(((n + 1,), spec.sigma * n))
-    elif kind == "wf-general-1d":
-        # moment dual of the diffusion: n -> n+k-2 at rate n(n-1) alpha_k,
-        # n -> n+k-1 at rate n beta_k
-        assert spec.alpha is not None and spec.n_max is not None
-        (n,) = k
-        for pw, coef in spec.alpha:
-            if pw == 2 or coef == 0.0:
-                continue
-            target = n + pw - 2
-            rate = n * (n - 1) * coef
-            if rate > 0 and 0 <= target <= spec.n_max:
-                out.append(((target,), rate))
-        for pw, coef in spec.beta or ():
-            if pw == 1 or coef == 0.0:
-                continue
-            target = n + pw - 1
-            rate = n * coef
-            if rate > 0 and 0 <= target <= spec.n_max:
-                out.append(((target,), rate))
-    elif kind == "stepping-stone-dual":
-        assert spec.kernel is not None
-        P = spec.kernel
-        d = len(k)
-        for i in range(d):
-            if k[i] == 0:
-                continue
-            for j in range(d):
-                if i == j:
-                    continue
-                # both kernel directions move a walker from i to j
-                rate = k[i] * (P[i][j] + P[j][i])
-                if rate > 0:
-                    target = list(k)
-                    target[i] -= 1
-                    target[j] += 1
-                    out.append((tuple(target), rate))
-            coal = k[i] * (k[i] - 1)
-            if coal > 0:
-                target = list(k)
-                target[i] -= 1
-                out.append((tuple(target), float(coal)))
-    else:
-        raise ValueError(f"{kind} is not a jump-type process")
-    return out
+def _jump_model(spec) -> JumpModel:
+    if not isinstance(spec, JumpModel):
+        raise ValueError(f"{spec.kind} is not a jump-type process")
+    return spec
 
 
-def _default_index(spec: ProcessSpec, truncation: int | None) -> StateIndex:
-    kind = spec.kind
-    if kind == "sip":
-        if truncation is None:
-            raise ValueError("sip needs the conserved particle total as truncation")
-        assert spec.d is not None
-        return enumerate_states(spec.d, truncation, "conserved")
-    if kind == "moran-multitype":
-        assert spec.d is not None and spec.N is not None
-        return enumerate_states(spec.d - 1, spec.N, "down-closed")
-    if kind == "kingman-block":
-        n_max = truncation if truncation is not None else spec.n_max
-        assert n_max is not None
-        return enumerate_states(1, n_max, "down-closed")
-    if kind == "wf-general-1d":
-        n_max = truncation if truncation is not None else 200
-        return enumerate_states(1, n_max, "down-closed")
-    if kind == "stepping-stone-dual":
-        if truncation is None:
-            raise ValueError("stepping-stone-dual needs a particle-number truncation")
-        assert spec.kernel is not None
-        return enumerate_states(len(spec.kernel), truncation, "down-closed")
-    raise ValueError(f"{kind} is not a jump-type process")
+def _rate_rows(spec: JumpModel, index: StateIndex, num: type) -> Iterator[dict[int, float | Fraction]]:
+    """Per state, its rates by column and the diagonal minus their sum.
+
+    Float diagonals are the correctly rounded sum (``math.fsum``).
+    """
+    pos = index.pos
+    for i, state in enumerate(index.states):
+        row: dict = {}
+        for target, rate in spec.rates(state, num):
+            j = pos.get(target)
+            if j is None:
+                # transitions leaving the enumerated window are dropped
+                continue
+            row[j] = row[j] + rate if j in row else rate
+        row[i] = -(fsum(row.values()) if num is float else sum(row.values(), num(0)))
+        yield row
 
 
 def generator_matrix(
-    spec: ProcessSpec,
+    spec: JumpModel,
     truncation: int | None = None,
     index: StateIndex | None = None,
 ) -> GeneratorMatrix:
     """Sparse (CSR) generator of a jump-type process.
 
     ``truncation`` bounds the state space of non-conserved chains (and names
-    the conserved particle total for ``sip``).  A ``wf-general-1d`` spec
+    the conserved particle total for ``sip``).  A ``wf_general_1d`` model
     yields its moment dual chain.  Pass ``index`` to override the state
     enumeration, e.g. to scan conservation across sectors.
 
-    The CSR arrays are filled in one pass over the states, with the rates
-    of ``_rates_from_state`` and the diagonal set to minus the row's
-    correctly rounded sum (``math.fsum``); no n x n array is allocated.
-    Going through COO and ``tocsr()`` instead would add a few hundred
-    microseconds per call, several times the whole build of the 5- to
-    31-state chains the check commands build by the dozen.
+    The CSR arrays are filled in one pass over the states, with the model's
+    float rates; no n x n array is allocated.  Going through COO and
+    ``tocsr()`` instead would add a few hundred microseconds per call,
+    several times the whole build of the 5- to 31-state chains the check
+    commands build by the dozen.
     """
-    if spec.kind == "kingman-block" and truncation is not None:
-        spec = ProcessSpec(kind="kingman-block", theta=spec.theta, sigma=spec.sigma, n_max=truncation)
-        truncation = None
-    if spec.kind == "wf-general-1d" and truncation is not None:
-        n_max = truncation
-    else:
-        n_max = None
+    spec = _jump_model(spec)
     if index is None:
-        index = _default_index(spec, truncation)
-    if spec.kind == "wf-general-1d":
-        bound = n_max if n_max is not None else index.N
-        spec_for_rates = ProcessSpec(kind=spec.kind, alpha=spec.alpha, beta=spec.beta, n_max=bound)
-    else:
-        spec_for_rates = spec
+        index = spec.index(truncation)
     n = len(index)
     data: list[float] = []
     indices: list[int] = []
     indptr = [0]
-    for i, state in enumerate(index.states):
-        row: dict[int, float] = {}
-        for target, rate in _rates_from_state(spec_for_rates, state):
-            j = index.pos.get(target)
-            if j is None:
-                # transitions leaving the enumerated window are dropped
-                continue
-            row[j] = row.get(j, 0.0) + rate
-        row[i] = -fsum(row.values())
+    for row in _rate_rows(spec, index, float):
         cols, rates = zip(*sorted(row.items()))
         indices += cols
         data += rates
@@ -468,64 +653,44 @@ def generator_matrix(
     Q = sparse.csr_array(
         (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=(n, n)
     )
-    conserved = {
-        "sip": "total particle number",
-        "moran-multitype": "population size (implicit last type)",
-    }.get(spec.kind)
-    return GeneratorMatrix(Q=Q, index=index, conserved=conserved)
+    return GeneratorMatrix(Q=Q, index=index)
 
 
-# ---------------------------------------------------------------------------
-# diffusion coefficients
-# ---------------------------------------------------------------------------
+def rational_generator(spec: JumpModel, truncation: int | None = None) -> list[list[Fraction]]:
+    """The generator of :func:`generator_matrix` in exact rational arithmetic.
+
+    The same rates evaluated with ``num=Fraction`` (parameters enter as the
+    exact value of their float), as dense nested lists over ``index(truncation)``.
+    """
+    spec = _jump_model(spec)
+    index = spec.index(truncation)
+    Q = [[Fraction(0)] * len(index) for _ in index.states]
+    for i, row in enumerate(_rate_rows(spec, index, Fraction)):
+        for j, rate in row.items():
+            Q[i][j] = rate
+    return Q
 
 
-def _poly_eval(coefs: tuple[tuple[int, float], ...], x: float) -> float:
-    return sum(c * x**k for k, c in coefs)
+def _diffusion_model(spec) -> DiffusionModel:
+    if not isinstance(spec, DiffusionModel):
+        raise ValueError(f"{spec.kind} is not a diffusion")
+    return spec
 
 
-def drift_diffusion(spec: ProcessSpec, x: Sequence[float] | float) -> tuple[np.ndarray, np.ndarray]:
+def drift_diffusion(spec: DiffusionModel, x: Sequence[float] | float) -> tuple[np.ndarray, np.ndarray]:
     """Drift vector b and covariance matrix a at a state.
 
-    The generator is ``(1/2) sum a_ij d_i d_j + sum b_i d_i``.  For the
-    one-dimensional family written as ``alpha(x) d^2/dx^2 + beta(x) d/dx``
-    this means ``a = 2 alpha`` and ``b = beta``.
+    The one-row case of ``spec.coefficients``.  The generator is
+    ``(1/2) sum a_ij d_i d_j + sum b_i d_i``; for the one-dimensional family
+    written as ``alpha(x) d^2/dx^2 + beta(x) d/dx`` this means ``a = 2 alpha``
+    and ``b = beta``.
     """
-    if not spec.is_diffusion:
-        raise ValueError(f"{spec.kind} is not a diffusion")
-    kind = spec.kind
-    if kind == "wf-general-1d":
-        xv = float(np.asarray(x).reshape(()))
-        assert spec.alpha is not None
-        a = 2.0 * _poly_eval(spec.alpha, xv)
-        b = _poly_eval(spec.beta or (), xv)
-        amat = np.array([[a]])
-        bvec = np.array([b])
-    elif kind == "wf-multitype":
-        assert spec.d is not None and spec.theta is not None
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (spec.d - 1,):
-            raise ValueError("state must list the first d-1 type frequencies")
-        amat = np.diag(xv) - np.outer(xv, xv)
-        bvec = (spec.theta / (spec.d - 1)) * (1.0 - spec.d * xv)
-    elif kind == "bep":
-        assert spec.d is not None and spec.m is not None
-        yv = np.asarray(x, dtype=float)
-        if yv.shape != (spec.d,):
-            raise ValueError("state must list all d energies")
-        total = yv.sum()
-        amat = total * np.diag(yv) - np.outer(yv, yv)
-        bvec = (spec.m / 4.0) * (total - spec.d * yv)
-    elif kind == "stepping-stone-forward":
-        assert spec.kernel is not None
-        P = np.asarray(spec.kernel)
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (P.shape[0],):
-            raise ValueError("state must list one frequency per site")
-        amat = np.diag(2.0 * xv * (1.0 - xv))
-        bvec = P @ xv + P.T @ xv - xv * (1.0 + P.sum(axis=0))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown diffusion kind {kind}")
+    spec = _diffusion_model(spec)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if xv.shape != (spec.dim,):
+        raise ValueError(f"{spec.kind} state must have {spec.dim} coordinates")
+    b, a = spec.coefficients(xv[None, :])
+    bvec, amat = b[0], a[0]
     eigs = np.linalg.eigvalsh(amat)
     scale = max(1.0, float(np.abs(amat).max()))
     if eigs.min() < -1e-10 * scale:
@@ -545,7 +710,7 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
 
 @lru_cache(maxsize=64)
 def _cached_chain(
-    spec: ProcessSpec, truncation: int | None
+    spec: JumpModel, truncation: int | None
 ) -> tuple[GeneratorMatrix, list[tuple[float, list[int], list[float]]]]:
     """Generator plus, per state, its exit rate, jump targets and cumulative jump law."""
     gen = generator_matrix(spec, truncation)
@@ -556,16 +721,18 @@ def _cached_chain(
         cols, vals = Q.indices[lo:hi], Q.data[lo:hi]
         off = cols != i
         rates = vals[off]
-        # the same normalisation as Generator.choice with p = rates / sum
-        cdf = (rates / rates.sum()).cumsum()
-        if cdf.size:
+        total = rates.sum()
+        cdf = rates
+        if total > 0:
+            # the same normalisation as Generator.choice with p = rates / sum
+            cdf = (rates / total).cumsum()
             cdf /= cdf[-1]
         tables.append((float(-vals[~off].sum()), cols[off].tolist(), cdf.tolist()))
     return gen, tables
 
 
 def sample_jump(
-    spec: ProcessSpec,
+    spec: JumpModel,
     k0: Sequence[int],
     t: float,
     rng: np.random.Generator,
@@ -582,9 +749,9 @@ def sample_jump(
     state = tuple(int(v) for v in k0)
     if t == 0:
         return state
-    if spec.kind in ("sip", "stepping-stone-dual") and truncation is None:
-        # the particle total is conserved (sip) or non-increasing (dual
-        # migration/coalescence), so the starting total bounds the space
+    if truncation is None and _jump_model(spec).total_bounded:
+        # the particle total is conserved or non-increasing, so the
+        # starting total bounds the space
         truncation = sum(state)
     gen, tables = _cached_chain(spec, truncation)
     try:
@@ -619,118 +786,38 @@ def _psd_sqrt_batch(a: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _em_run(spec: ProcessSpec, x0: np.ndarray, t: float, dt: float, normals: np.ndarray) -> np.ndarray:
+def _em_run(spec: DiffusionModel, x0: np.ndarray, t: float, dt: float, normals: np.ndarray) -> np.ndarray:
     """Vectorized Euler-Maruyama over a batch of paths.
 
     ``normals`` is step-major, shape (steps, paths, dim), so step ``s``
     reads the one contiguous slab ``normals[s]``; path ``p``'s increments
     are the column ``normals[:, p]``.  The trailing step uses the remainder
-    of the horizon when t is not a multiple of dt.
+    of the horizon when t is not a multiple of dt.  After every step the
+    model maps the states back into its domain; absorbing boundaries of the
+    neutral models hold because drift and noise vanish there.
     """
-    kind = spec.kind
     n_full, rem = _n_steps(t, dt)
     steps = n_full + (1 if rem > 0 else 0)
     npaths = normals.shape[1]
     x = np.tile(np.asarray(x0, dtype=float), (npaths, 1))
-    dim = x.shape[1]
-    if normals.shape != (steps, npaths, dim):
+    if normals.shape != (steps, npaths, x.shape[1]):
         raise ValueError("normals shape mismatch")
     for s in range(steps):
         h = dt if s < n_full else rem
         z = normals[s]
-        if kind == "wf-general-1d":
-            xv = x[:, 0]
-            assert spec.alpha is not None
-            a = 2.0 * sum(c * xv**k for k, c in spec.alpha)
-            b = sum(c * xv**k for k, c in (spec.beta or ())) if spec.beta else 0.0
-            xv = xv + b * h + np.sqrt(np.maximum(a, 0.0) * h) * z[:, 0]
-            x[:, 0] = np.clip(xv, 0.0, 1.0)
-        elif kind == "wf-multitype":
-            assert spec.d is not None and spec.theta is not None
-            drift = (spec.theta / (spec.d - 1)) * (1.0 - spec.d * x)
-            if dim == 1:
-                xv = x[:, 0]
-                noise = np.sqrt(np.maximum(xv * (1.0 - xv), 0.0) * h) * z[:, 0]
-                x[:, 0] = xv + drift[:, 0] * h + noise
-                # one free coordinate: the clip alone keeps it on the simplex
-                np.clip(x, 0.0, 1.0, out=x)
-            else:
-                amat = x[:, :, None] * np.eye(dim) - x[:, :, None] * x[:, None, :]
-                root = _psd_sqrt_batch(amat)
-                x = x + drift * h + sqrt(h) * np.einsum("pij,pj->pi", root, z)
-                np.clip(x, 0.0, 1.0, out=x)
-                total = x.sum(axis=1)
-                over = total > 1.0
-                if np.any(over):
-                    x[over] /= total[over, None]
-        elif kind == "bep":
-            assert spec.d is not None and spec.m is not None
-            total = x.sum(axis=1)
-            drift = (spec.m / 4.0) * (total[:, None] - spec.d * x)
-            amat = total[:, None, None] * (x[:, :, None] * np.eye(dim)) - x[:, :, None] * x[:, None, :]
-            root = _psd_sqrt_batch(amat)
-            x = x + drift * h + sqrt(h) * np.einsum("pij,pj->pi", root, z)
-            np.clip(x, 0.0, None, out=x)
-            # the dynamics conserve the total energy; restore it after the
-            # clip so the identification with the simplex diffusion holds
-            sums = x.sum(axis=1)
-            fix = sums > 0
-            x[fix] *= (total[fix] / sums[fix])[:, None]
-        elif kind == "stepping-stone-forward":
-            assert spec.kernel is not None
-            P = np.asarray(spec.kernel)
-            drift = x @ P.T + x @ P - x * (1.0 + P.sum(axis=0))
-            noise = np.sqrt(np.maximum(2.0 * x * (1.0 - x), 0.0) * h) * z
-            x = x + drift * h + noise
-            np.clip(x, 0.0, 1.0, out=x)
-        else:  # pragma: no cover
-            raise ValueError(f"{kind} is not a diffusion")
+        drift, cov = spec._drift_covariance(x)
+        if cov.ndim == 2:
+            noise = np.sqrt(np.maximum(cov, 0.0) * h) * z
+        else:
+            noise = sqrt(h) * np.einsum("pij,pj->pi", _psd_sqrt_batch(cov), z)
+        x = spec.project(x + drift * h + noise, x)
         if np.any(np.isnan(x)):
             raise FloatingPointError("NaN encountered along a diffusion path")
     return x
 
 
-def _diffusion_dim(spec: ProcessSpec, x0: Sequence[float] | float) -> np.ndarray:
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    expected = {
-        "wf-general-1d": 1,
-        "wf-multitype": (spec.d - 1) if spec.d else None,
-        "bep": spec.d,
-        "stepping-stone-forward": len(spec.kernel) if spec.kernel else None,
-    }[spec.kind]
-    if x0v.shape != (expected,):
-        raise ValueError(f"initial state must have {expected} coordinates")
-    return x0v
-
-
-def sample_diffusion(
-    spec: ProcessSpec,
-    x0: Sequence[float] | float,
-    t: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Euler-Maruyama endpoint of one path, deterministic given the stream.
-
-    Coordinates are clipped back to their domain after every step (and
-    simplex states renormalized); absorbing corners of the neutral models
-    are preserved automatically because drift and noise vanish there.
-    """
-    if not spec.is_diffusion:
-        raise ValueError(f"{spec.kind} is not a diffusion")
-    x0v = _diffusion_dim(spec, x0)
-    if t == 0:
-        return x0v.copy()
-    if dt <= 0 or dt >= t:
-        raise ValueError("need 0 < dt < t")
-    n_full, rem = _n_steps(t, dt)
-    steps = n_full + (1 if rem > 0 else 0)
-    normals = rng.standard_normal((steps, 1, x0v.size))
-    return _em_run(spec, x0v, t, dt, normals)[0]
-
-
 def diffusion_endpoints(
-    spec: ProcessSpec,
+    spec: DiffusionModel,
     x0: Sequence[float] | float,
     t: float,
     dt: float,
@@ -742,14 +829,15 @@ def diffusion_endpoints(
 ) -> np.ndarray:
     """Endpoints of ``n_paths`` independent paths, one stream per path.
 
-    Path ``i`` draws its (steps, dim) normals from stream ``(seed, i)``;
-    with ``antithetic`` the pair (2j, 2j + 1) is drawn once from stream
-    ``(seed, j)`` and the odd path takes the negated increments.  Paths run
-    in blocks of ``block``, each a step-major (steps, paths, dim) array
-    that path ``i`` fills in its column; the result does not depend on the
-    block partition.
+    The start is checked against the model's domain before any path is
+    drawn.  Path ``i`` draws its (steps, dim) normals from stream
+    ``(seed, i)``; with ``antithetic`` the pair (2j, 2j + 1) is drawn once
+    from stream ``(seed, j)`` and the odd path takes the negated increments.
+    Paths run in blocks of ``block``, each a step-major (steps, paths, dim)
+    array that path ``i`` fills in its column; the result does not depend on
+    the block partition.
     """
-    x0v = _diffusion_dim(spec, x0)
+    x0v = _diffusion_model(spec).start(x0)
     if t == 0:
         return np.tile(x0v, (n_paths, 1))
     if dt <= 0 or dt >= t:

@@ -205,7 +205,7 @@ def test_criterion_08a_product_closed_form_two_types():
     assert rec.abs_diff <= 1e-10
 
 
-def _product_decay_rate(spec: processes.ProcessSpec, y: np.ndarray) -> float:
+def _product_decay_rate(spec: processes.DiffusionModel, y: np.ndarray) -> float:
     """-L f / f for f = prod(y), with L = (1/2) sum a_ij d_i d_j + b . grad."""
     b, a = processes.drift_diffusion(spec, y)
     d = len(y)

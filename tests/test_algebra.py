@@ -292,7 +292,7 @@ class TestSymmetryCharacterization:
 class TestExactRationalHelpers:
     def test_falling_factorial_exact_matches_float(self):
         N = 9
-        exact = algebra.falling_factorial_matrix_exact(N)
+        exact = algebra.falling_factorial_matrix(N, Fraction)
         approx = algebra.falling_factorial_matrix(N)
         for k in range(N + 1):
             for n in range(N + 1):
@@ -312,4 +312,4 @@ class TestExactRationalHelpers:
         rep = algebra.build_representation("heisenberg-finite-N", 32, N=32)
         (report,) = algebra.check_commutation_relations(rep)
         assert report.max_abs_residual == 0.0
-        assert isinstance(algebra._finite_raising_exact(4)[2][1], Fraction)
+        assert isinstance(algebra._finite_raising(4, Fraction)[2][1], Fraction)

@@ -62,6 +62,15 @@ class TestExitCodes:
         cfg["frozen"] = "1,1"  # does not sum to N=3
         assert run_cli(tmp_path, "run-mc", cfg) == 1
 
+    @pytest.mark.parametrize("experiment", ["heterozygosity", "wf-vs-moran", "wf-moment-vs-kingman"])
+    def test_start_outside_the_domain_is_runtime_failure(self, tmp_path, experiment, capsys):
+        # a frequency of 1.7 used to give a report with a negative oracle
+        # heterozygosity; now no path is drawn and no report written
+        cfg = dict(FAST_MC, experiment=experiment, x0=1.7)
+        assert run_cli(tmp_path, "run-mc", cfg) == 1
+        assert "outside the domain" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
 
 class TestDeterminism:
     def test_run_mc_byte_identical(self, tmp_path):

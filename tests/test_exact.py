@@ -204,7 +204,7 @@ class TestRationalCertification:
     @pytest.mark.parametrize("N", range(2, 11))
     def test_ladder_product_equals_rate_matrix(self, N):
         ladder = moran_ladder_product_exact(N)
-        direct = exact.moran_generator_exact(N)
+        direct = processes.rational_generator(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
         assert ladder == direct
 
     def test_float_agrees_up_to_twenty(self):

@@ -292,6 +292,14 @@ class TestHoistedDiffusionLoop:
             want_var = math.fsum((v - want_mean) ** 2 for v in values) / (len(values) * (len(values) - 1))
             assert got == SideEstimate(mean=want_mean, se=math.sqrt(want_var), n=len(values))
 
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_start_outside_the_simplex_is_rejected(self, t):
+        spec = processes.wf_multitype(3, 0.4)
+        fam = DualityFamily("product-gamma", theta=0.4, d=3)
+        cfg = EstimatorConfig(n_paths=300, seed=17, dt=1e-2, t=t)
+        with pytest.raises(ValueError, match="outside the domain"):
+            estimate_duality_side(spec, fam, (0.6, 0.6), (1, 0, 2), t, cfg)
+
     def test_lifted_last_type_is_clamped_at_zero(self):
         # a renormalised endpoint can sum to 1 + 2**-52; its lifted last
         # type used to be -2.2e-16, which product-gamma rejects

@@ -1,13 +1,18 @@
-"""Process specs, generators, coefficient maps and samplers."""
+"""Process models, generators, coefficient maps and samplers."""
 
+import hashlib
+import json
 import math
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duality_lab import algebra
+from duality_lab import algebra, processes
 from duality_lab.processes import (
     bep,
     diffusion_endpoints,
@@ -17,7 +22,7 @@ from duality_lab.processes import (
     kingman_block,
     moran_multitype,
     path_rng,
-    sample_diffusion,
+    rational_generator,
     sample_jump,
     sip,
     stepping_stone_dual,
@@ -293,18 +298,18 @@ class TestSampleJump:
 
 class TestSampleDiffusion:
     def test_zero_horizon(self):
-        out = sample_diffusion(wf_multitype(2, 0.0), (0.3,), 0.0, 1e-3, path_rng(0, 0))
-        assert np.array_equal(out, [0.3])
+        out = diffusion_endpoints(wf_multitype(2, 0.0), (0.3,), 0.0, 1e-3, seed=0, n_paths=1)
+        assert np.array_equal(out, [[0.3]])
 
     def test_absorbing_corner(self):
-        out = sample_diffusion(wf_multitype(2, 0.0), (1.0,), 0.5, 1e-3, path_rng(0, 1))
-        assert np.array_equal(out, [1.0])
+        out = diffusion_endpoints(wf_multitype(2, 0.0), (1.0,), 0.5, 1e-3, seed=0, n_paths=2)
+        assert np.array_equal(out, [[1.0], [1.0]])
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            sample_diffusion(wf_multitype(2, 0.0), (0.3,), 0.5, 0.5, path_rng(0, 0))
+            diffusion_endpoints(wf_multitype(2, 0.0), (0.3,), 0.5, 0.5, seed=0, n_paths=1)
         with pytest.raises(ValueError):
-            sample_diffusion(wf_multitype(2, 0.0), (0.3,), 0.5, -0.1, path_rng(0, 0))
+            diffusion_endpoints(wf_multitype(2, 0.0), (0.3,), 0.5, -0.1, seed=0, n_paths=1)
 
     def test_stays_on_the_simplex(self):
         spec = wf_multitype(3, 0.4)
@@ -329,14 +334,6 @@ class TestSampleDiffusion:
         want = 0.21 * math.exp(-0.5)
         assert abs(mean - want) <= 3 * se + 5e-3
 
-    def test_batch_matches_single_paths(self):
-        spec = wf_multitype(2, 0.5)
-        ends = diffusion_endpoints(spec, (0.3,), 0.25, 1e-2, seed=42, n_paths=100)
-        singles = np.stack(
-            [sample_diffusion(spec, (0.3,), 0.25, 1e-2, path_rng(42, i)) for i in range(100)]
-        )
-        assert np.array_equal(ends, singles)
-
     def test_block_partition_invariance(self):
         spec = wf_multitype(2, 0.5)
         a = diffusion_endpoints(spec, (0.3,), 0.25, 1e-2, seed=42, n_paths=100, block=7)
@@ -352,9 +349,9 @@ class TestSampleDiffusion:
 
     def test_partial_trailing_step(self):
         spec = wf_multitype(2, 0.0)
-        out = sample_diffusion(spec, (0.4,), 0.25, 1e-1, path_rng(3, 0))
-        assert out.shape == (1,)
-        assert 0.0 <= out[0] <= 1.0
+        out = diffusion_endpoints(spec, (0.4,), 0.25, 1e-1, seed=3, n_paths=1)
+        assert out.shape == (1, 1)
+        assert 0.0 <= out[0, 0] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +480,6 @@ class TestStepMajorBlocks:
         diffusion_endpoints(spec, x0, 0.255, 1e-2, seed=3, n_paths=60, antithetic=True, block=7)
         assert calls == list(range(30))
 
-    def test_single_path_sampler_matches_reference(self):
-        spec, x0 = STEP_MAJOR_CASES["bep-d3"]
-        got = sample_diffusion(spec, x0, 0.255, 1e-2, path_rng(8, 3))
-        want = _reference_endpoints(spec, x0, 0.255, 1e-2, 8, 4)[3]
-        assert np.array_equal(got, want)
-
 
 class TestGeneratorProperties:
     @settings(max_examples=25, deadline=None)
@@ -507,3 +498,122 @@ class TestGeneratorProperties:
             np.fill_diagonal(off, 0.0)
             assert off.min() >= 0.0
             assert np.abs(gen.Q.sum(axis=1)).max() <= 1e-12 * max(1.0, np.abs(gen.Q).max())
+
+
+# ---------------------------------------------------------------------------
+# float bits of the generators, pinned by hash
+# ---------------------------------------------------------------------------
+
+GENERATOR_GOLDEN = json.loads((Path(__file__).parent / "golden" / "generators.json").read_text())
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+class TestFloatFingerprints:
+    """Every chain the commands and benchmark build keeps its float bits.
+
+    ``tests/golden/generators.json`` holds the sha256 of the dense
+    ``Q.toarray()`` of each distinct generator built by the five commands at
+    their defaults, by the four benchmark workloads and by a truncation scan.
+    The hashes come from an earlier implementation of the rates, so any
+    change to a generator's float bits fails here.
+    """
+
+    def test_generators_match_golden_hashes(self):
+        moved = []
+        for entry in GENERATOR_GOLDEN["generators"]:
+            spec = getattr(processes, entry["factory"])(**entry["kwargs"])
+            gen = generator_matrix(spec, entry["truncation"])
+            assert len(gen.index) == entry["states"]
+            if _sha256(gen.Q.toarray()) != entry["sha256"]:
+                moved.append((entry["factory"], entry["kwargs"], entry["truncation"]))
+        assert len(GENERATOR_GOLDEN["generators"]) == 150
+        assert moved == []
+
+    def test_falling_factorial_matrix_matches_golden_hashes(self):
+        hashes = GENERATOR_GOLDEN["falling_factorial_matrix"]
+        assert sorted(int(N) for N in hashes) == list(range(2, 21))
+        for N, digest in hashes.items():
+            assert _sha256(algebra.falling_factorial_matrix(int(N))) == digest
+
+
+class TestRationalGenerator:
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_moran_and_block_counting_equal_float_entry_for_entry(self, N):
+        for spec in (moran_multitype(N, 2, 0.0, rate_scale=2.0), kingman_block(n_max=N)):
+            exact = rational_generator(spec)
+            assert all(isinstance(v, Fraction) for row in exact for v in row)
+            dense = generator_matrix(spec).Q.toarray()
+            assert [[Fraction(v) for v in row] for row in dense.tolist()] == exact
+
+    def test_dyadic_parameters_are_exact_in_float(self):
+        # every rate of these chains is a dyadic rational, so the float
+        # generator carries it exactly
+        for spec, trunc in ((kingman_block(0.5, 0.25, 10), None), (sip(3, 1.5), 3), (moran_multitype(4, 3, 0.5), None)):
+            exact = rational_generator(spec, trunc)
+            dense = generator_matrix(spec, trunc).Q.toarray()
+            assert [[Fraction(v) for v in row] for row in dense.tolist()] == exact
+
+    def test_rejects_diffusions(self):
+        with pytest.raises(ValueError, match="not a jump-type process"):
+            rational_generator(wf_multitype(3, 0.5))
+
+
+class TestSelectionChainSampling:
+    def test_block_counting_with_selection_stores_only_positive_rates(self):
+        gen = generator_matrix(kingman_block(0.0, 0.4, 10))
+        Q = gen.Q
+        rows = np.arange(Q.shape[0]).repeat(np.diff(Q.indptr))
+        assert (Q.data[Q.indices != rows] > 0).all()
+
+    def test_sampling_raises_no_warning(self):
+        # state 0 used to store an up-rate of 0.0, whose table divided 0/0
+        processes._cached_chain.cache_clear()
+        spec = kingman_block(0.0, 0.4, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = [sample_jump(spec, (3,), 2.0, path_rng(1, i)) for i in range(50)]
+        assert all(0 <= n <= 10 for (n,) in ends)
+
+
+class TestDiffusionStarts:
+    BAD = {
+        "wf-multitype-d3-sum": (wf_multitype(3, 0.4), (0.6, 0.6)),
+        "wf-multitype-d3-negative": (wf_multitype(3, 0.4), (-0.1, 0.5)),
+        "wf-multitype-d2": (wf_multitype(2, 0.0), (1.7,)),
+        "wf-general-1d": (wf_general_1d({1: 1.0, 2: -1.0}), (1.7,)),
+        "wf-general-1d-nan": (wf_general_1d({1: 1.0, 2: -1.0}), (float("nan"),)),
+        "bep": (bep(3, 1.0), (0.2, -0.3, 0.5)),
+        "stepping-stone": (stepping_stone_forward(((0.5, 0.5), (0.5, 0.5))), (0.1, 1.2)),
+    }
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejected_before_any_path_is_drawn(self, case, t, monkeypatch):
+        spec, x0 = self.BAD[case]
+        drawn = []
+        monkeypatch.setattr(processes, "path_rng", lambda seed, path: drawn.append(path))
+        with pytest.raises(ValueError, match="outside the domain") as err:
+            diffusion_endpoints(spec, x0, t, 1e-2, seed=1, n_paths=4)
+        assert spec.kind in str(err.value)
+        assert drawn == []
+
+    def test_wrong_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            diffusion_endpoints(wf_multitype(3, 0.4), (0.3,), 0.3, 1e-2, seed=1, n_paths=4)
+
+    @pytest.mark.parametrize(
+        "spec, x0",
+        [
+            (wf_multitype(3, 0.4), (0.5, 0.5)),
+            (wf_multitype(2, 0.0), (0.0,)),
+            (wf_general_1d({1: 1.0, 2: -1.0}), 1.0),
+            (bep(2, 1.0), (0.0, 3.0)),
+            (stepping_stone_forward(((0.5, 0.5), (0.5, 0.5))), (0.0, 1.0)),
+        ],
+    )
+    def test_boundary_starts_are_accepted(self, spec, x0):
+        ends = diffusion_endpoints(spec, x0, 0.05, 1e-2, seed=2, n_paths=4)
+        assert ends.shape == (4, spec.dim)
