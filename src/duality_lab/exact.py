@@ -9,9 +9,9 @@ Higham (``expm_multiply``) on the sparse generator, called Krylov here.
 Both work to the double-precision unit roundoff.  Generator dualities are
 checked as matrix identities; diffusion generators enter either through an
 exact polynomial-coefficient representation or through pointwise
-evaluation with analytic derivatives of the duality function (central
-finite differences as a fallback).  The rational certification runs the
-models' rates and the algebra's builders with ``num=Fraction``.
+evaluation with analytic derivatives of the duality function.  The
+rational certification runs the models' rates and the algebra's builders
+with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -46,6 +46,7 @@ __all__ = [
     "monomial_duality",
     "mirror_monomial_duality",
     "exp_xy_duality",
+    "moran_block_counting",
     "moran_kingman_residual_exact",
     "moran_ladder_product_exact",
     "wf_monomial_matrix",
@@ -220,6 +221,15 @@ def moran_ladder_product_exact(N: int) -> list[list[Fraction]]:
     return algebra._mat_mul(algebra._mat_mul(rai, algebra._mat_sub(eye, rai)), low2)
 
 
+def moran_block_counting(N: int) -> tuple[processes.MoranMultitype, processes.KingmanBlock]:
+    """The two-type Moran model of size ``N`` and its block-counting dual.
+
+    Block counting coalesces at rate n(n-1), so its exact dual under the
+    falling-factorial matrix is the Moran chain at twice the d-type rate.
+    """
+    return processes.moran_multitype(N, 2, 0.0, rate_scale=2.0), processes.kingman_block(n_max=N)
+
+
 def moran_kingman_residual_exact(N: int) -> Fraction:
     """Max |K D - D K_hat^T| of the Moran / block-counting pair, exact.
 
@@ -227,8 +237,7 @@ def moran_kingman_residual_exact(N: int) -> Fraction:
     identity outright rather than bounding floating-point error.  The
     generators are the models' own rates, evaluated in ``Fraction``.
     """
-    K = processes.rational_generator(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
-    Khat = processes.rational_generator(processes.kingman_block(n_max=N))
+    K, Khat = (processes.rational_generator(model) for model in moran_block_counting(N))
     D = algebra.falling_factorial_matrix(N, Fraction)
     KhatT = [[Khat[j][i] for j in range(N + 1)] for i in range(N + 1)]
     resid = algebra._mat_sub(algebra._mat_mul(K, D), algebra._mat_mul(D, KhatT))
@@ -254,8 +263,8 @@ class PointwiseDuality:
     """Duality function with optional analytic partial derivatives.
 
     ``value(u, w)`` takes the left-slot variable ``u`` and the right-slot
-    variable ``w`` (a real or an integer index).  Missing derivatives fall
-    back to central finite differences.
+    variable ``w`` (a real or an integer index).  A slot acted on by an
+    :class:`Operator1D` or a diffusion model needs both its derivatives.
     """
 
     value: Callable
@@ -293,19 +302,11 @@ def exp_xy_duality() -> PointwiseDuality:
     )
 
 
-def _partials(D: PointwiseDuality, u: float, w, h: float, slot: str) -> tuple[float, float]:
-    if slot == "left":
-        d1, d2 = D.du, D.duu
-        f = lambda uu: D.value(uu, w)
-        at = u
-    else:
-        d1, d2 = D.dw, D.dww
-        f = lambda ww: D.value(u, ww)
-        at = w
-    if d1 is not None and d2 is not None:
-        return (d1(u, w), d2(u, w))
-    lo, mid, hi = f(at - h), f(at), f(at + h)
-    return ((hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h))
+def _partials(D: PointwiseDuality, u: float, w, slot: str) -> tuple[float, float]:
+    d1, d2 = (D.du, D.duu) if slot == "left" else (D.dw, D.dww)
+    if d1 is None or d2 is None:
+        raise ValueError(f"the duality function lacks the {slot}-slot derivatives")
+    return (d1(u, w), d2(u, w))
 
 
 def _on_grid(side, grid: Sequence) -> Operator1D:
@@ -318,11 +319,11 @@ def _on_grid(side, grid: Sequence) -> Operator1D:
     return Operator1D(alpha=lambda at: 0.5 * float(coefs[at][1][0, 0]), beta=lambda at: float(coefs[at][0][0]))
 
 
-def _apply_side(side, D: PointwiseDuality, u: float, w, h: float, slot: str) -> float:
+def _apply_side(side, D: PointwiseDuality, u: float, w, slot: str) -> float:
     """Apply one side's operator to the duality function at a grid point."""
     if isinstance(side, Operator1D):
         at = u if slot == "left" else w
-        d1, d2 = _partials(D, u, w, h, slot)
+        d1, d2 = _partials(D, u, w, slot)
         out = side.alpha(at) * d2 + side.beta(at) * d1
         if side.gamma is not None:
             out += side.gamma(at) * D.value(u, w)
@@ -353,7 +354,6 @@ def check_pointwise_duality(
     left_grid: Sequence[float],
     right_grid: Sequence,
     *,
-    h: float = 1e-5,
     identity: str = "pointwise duality",
 ) -> ResidualReport:
     """Max over a grid of |(K_l D)(u, w) - (K_r D)(u, w)|.
@@ -366,8 +366,8 @@ def check_pointwise_duality(
     worst = 0.0
     for u in left_grid:
         for w in right_grid:
-            lhs = _apply_side(left, duality, float(u), w, h, "left")
-            rhs = _apply_side(right, duality, float(u), w, h, "right")
+            lhs = _apply_side(left, duality, float(u), w, "left")
+            rhs = _apply_side(right, duality, float(u), w, "right")
             worst = max(worst, abs(lhs - rhs))
     return ResidualReport(identity, worst, f"{len(left_grid)} x {len(right_grid)} grid")
 

@@ -12,8 +12,8 @@ declared bias budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +69,9 @@ class ComparisonReport:
     tolerance_multiplier: float
     bias_budget: float
     passed: bool
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def as_row(self) -> dict:
-        row = {
+        return {
             "lhs_mean": self.lhs.mean,
             "lhs_se": self.lhs.se,
             "lhs_n": self.lhs.n,
@@ -84,8 +83,6 @@ class ComparisonReport:
             "bias_budget": self.bias_budget,
             "passed": self.passed,
         }
-        row.update(self.metadata)
-        return row
 
 
 def _mean_se(values: Sequence[float]) -> SideEstimate:
@@ -205,7 +202,6 @@ def compare(
     rhs: SideEstimate | float,
     tolerance_multiplier: float = 3.0,
     bias_budget: float = 0.0,
-    metadata: Mapping[str, str] | None = None,
 ) -> ComparisonReport:
     """Compare an estimate with an exact value or a second estimate."""
     if not isinstance(rhs, SideEstimate):
@@ -224,5 +220,4 @@ def compare(
         tolerance_multiplier=tolerance_multiplier,
         bias_budget=bias_budget,
         passed=passed,
-        metadata=dict(metadata or {}),
     )

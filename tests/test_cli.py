@@ -72,6 +72,47 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "report.csv").exists()
 
 
+class TestConfigTypes:
+    """Each config value must have the JSON type of its default; others exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("run-mc", '{"n_paths": "many"}'),
+            ("run-mc", '{"n_paths": 400.9}'),
+            ("run-mc", '{"antithetic": "false"}'),
+            ("run-mc", '{"x0": null}'),
+            ("check-algebra", '{"order": true}'),
+            ("check-exact", '{"tolerance": "inf"}'),
+            ("check-exact", '{"tolerance": Infinity}'),
+            ("check-exact", '{"tolerance": NaN}'),
+            ("reproduce-examples", '{"t": 1e400}'),
+            pytest.param("reproduce-examples", '{"t": 1' + "0" * 400 + "}", id="reproduce-examples-int-beyond-float"),
+            ("reproduce-examples", '{"d": 3.0}'),
+            ("check-pointwise", '{"x_grid": 0.5}'),
+        ],
+    )
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, command, text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_for_float_key_runs_as_float(self, tmp_path):
+        assert run_cli(tmp_path, "reproduce-examples", {"t": 1}) == 0
+        header = (tmp_path / "out" / "report.csv").read_text().splitlines()[0]
+        assert '"t":1.0' in header
+        cfg_path = tmp_path / "config.json"
+        assert type(cli.resolve_config("reproduce-examples", str(cfg_path), None)["t"]) is float
+
+    def test_failed_row_exits_one_with_report(self, tmp_path):
+        cfg = dict(FAST_MC, tolerance_multiplier=0.0, bias_budget_dt_multiple=0.0)
+        assert run_cli(tmp_path, "run-mc", cfg) == 1
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert lines[2].endswith(",false")
+
+
 class TestDeterminism:
     def test_run_mc_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()

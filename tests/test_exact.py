@@ -332,14 +332,17 @@ class TestPointwiseDuality:
         rep = check_pointwise_duality(selfd, selfd, exp_xy_duality(), grid, grid)
         assert rep.max_abs_residual <= 1e-9
 
-    def test_finite_difference_fallback(self):
+    def test_missing_derivative_is_rejected(self):
         from duality_lab.exact import PointwiseDuality
 
         left = Operator1D(alpha=lambda x: 0.5, beta=lambda x: 0.0)
         right = Operator1D(alpha=lambda y: 0.0, beta=lambda y: 0.0, gamma=lambda y: 0.5 * y * y)
-        numeric = PointwiseDuality(value=lambda x, y: exp(x * y))
-        rep = check_pointwise_duality(left, right, numeric, (0.3, 0.9), (0.2, 1.1), h=1e-5)
-        assert rep.max_abs_residual <= 1e-4  # second differences limit accuracy
+        value_only = PointwiseDuality(value=lambda x, y: exp(x * y))
+        with pytest.raises(ValueError, match="left-slot derivatives"):
+            check_pointwise_duality(left, right, value_only, (0.3, 0.9), (0.2, 1.1))
+        # the monomial duality carries only its left-slot derivatives
+        with pytest.raises(ValueError, match="right-slot derivatives"):
+            check_pointwise_duality(left, right, monomial_duality(), (0.3, 0.9), (0.2, 1.1))
 
     def test_stepping_stone_both_kernel_shapes(self):
         for kern in (

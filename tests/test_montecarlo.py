@@ -8,7 +8,6 @@ import pytest
 from duality_lab import exact, processes
 from duality_lab.dualities import DualityFamily, evaluate_at
 from duality_lab.montecarlo import (
-    ComparisonReport,
     EstimatorConfig,
     SideEstimate,
     compare,
@@ -99,12 +98,6 @@ class TestCompare:
         rep = compare(SideEstimate(0.0, 0.03, 100), SideEstimate(0.5, 0.04, 100))
         assert rep.z == pytest.approx(0.5 / 0.05)
         assert not rep.passed
-
-    def test_metadata_round_trip(self):
-        rep = compare(SideEstimate(1.0, 0.1, 100), 1.0, metadata={"pair": "demo"})
-        row = rep.as_row()
-        assert row["pair"] == "demo"
-        assert isinstance(rep, ComparisonReport)
 
 
 class TestAgainstExactOracles:
