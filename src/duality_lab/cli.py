@@ -7,10 +7,11 @@ Usage::
 
 Commands: ``check-algebra``, ``check-exact``, ``check-pointwise``,
 ``run-mc``, ``reproduce-examples``.  Flag overrides win over config-file
-values; unknown config keys, and values of another JSON type than the
-key's default, are rejected.  Each command yields its report rows; machine
-output goes to ``<out>/report.csv`` (or ``report.json``), wall-clock info
-to ``<out>/run.log``.  Exit status 0 when every row with a ``passed`` cell
+values; unknown config keys, values of another JSON type than the key's
+default, integers below the key's floor and empty lists are rejected.
+Each command yields its report rows; machine output goes to
+``<out>/report.csv`` (or ``report.json``), wall-clock info to
+``<out>/run.log``.  Exit status 0 when every row with a ``passed`` cell
 passed (``reproduce-examples`` rows have none), 1 on runtime failure, 2 on
 config validation failure.
 """
@@ -438,6 +439,20 @@ RUNNERS = {
     "reproduce-examples": (run_reproduce_examples, EXAMPLE_COLUMNS),
 }
 
+# the smallest value of each integer key; below it a suite dies on an empty
+# array or passes with its checks gone
+_MINIMA: dict[str, dict[str, int]] = {
+    "check-algebra": {"order": 2, "finite_N": 1, "binomial_N": 1, "seed": 0},
+    "check-exact": {"rational_N_max": 2, "float_N_max": 2, "self_dual_N_max": 2, "wf_moran_N": 1},
+    "check-pointwise": {"max_degree": 0},
+    "run-mc": {"seed": 0},
+}
+# comma-separated lists that must name at least one number
+_NONEMPTY_LISTS: dict[str, tuple[str, ...]] = {
+    "check-exact": ("m_values", "semigroup_times"),
+    "check-pointwise": ("x_grid", "xy_grid", "halfline_grid"),
+}
+
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
@@ -458,7 +473,9 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
 
     Every value the file sets must have the JSON type of the key's default:
     a boolean, an integer that is not a boolean, a finite number (stored as
-    a float) or a string.  Anything else raises ``ValueError``.
+    a float) or a string.  Integer keys with a floor in ``_MINIMA`` must
+    reach it, and the lists in ``_NONEMPTY_LISTS`` must name a number.
+    Anything else raises ``ValueError`` naming the key.
     """
     cfg = dict(DEFAULTS[command])
     if config_path is not None:
@@ -474,6 +491,16 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
         if "seed" not in cfg:
             raise ValueError(f"{command} takes no seed")
         cfg["seed"] = int(seed)
+    for key, least in _MINIMA.get(command, {}).items():
+        if cfg[key] < least:
+            raise ValueError(f"config key {key!r} must be at least {least}, not {cfg[key]}")
+    for key in _NONEMPTY_LISTS.get(command, ()):
+        try:
+            values = _floats(cfg[key])
+        except ValueError:
+            values = ()
+        if not values:
+            raise ValueError(f"config key {key!r} must list at least one number, not {cfg[key]!r}")
     return cfg
 
 

@@ -35,6 +35,7 @@ from math import comb, floor, fsum, sqrt
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import sparse
 
 __all__ = [
@@ -703,9 +704,106 @@ def drift_diffusion(spec: DiffusionModel, x: Sequence[float] | float) -> tuple[n
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_POOL = 4
+# paths hashed together; a power of two dividing 2**32, so every path of a
+# chunk has as many 32-bit words as the chunk's first
+_CHUNK = 4096
+
+
+def _int_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix; its multiplier steps on each call, whatever the data."""
+    hash_const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _SHIFT)
+
+
+@lru_cache(maxsize=2)
+def _chunk_seeds(seed: int, chunk: int) -> np.ndarray:
+    """PCG64 seed words of the paths of one chunk, shape (_CHUNK, 4) uint64.
+
+    Row ``j`` equals ``SeedSequence([seed, chunk * _CHUNK + j])
+    .generate_state(4, np.uint64)``: the same mixing, run in uint32 arrays
+    across the chunk's paths at once.  Callers walk paths in order, so two
+    cached chunks cover a chunk boundary or a second seed.
+    """
+    path_words = _int_words(chunk * _CHUNK)
+    words = _int_words(seed) + path_words
+    entropy = np.empty((len(words), _CHUNK), dtype=np.uint32)
+    entropy[:] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words) - len(path_words)] += np.arange(_CHUNK, dtype=np.uint32)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(_CHUNK, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(words) else zeros) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(words)):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state(4, uint64): eight uint32 words, paired little-endian
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((_CHUNK, 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        state[:, i] = hashout(pool[i % _POOL])
+    seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    seeds.flags.writeable = False
+    return seeds
+
+
+class _PathSeed(ISeedSequence):
+    """Hands PCG64 one path's precomputed seed words; nothing else is supported."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a path seed only yields PCG64's four uint64 words")
+        return self._words
+
+
 def path_rng(seed: int, path: int) -> np.random.Generator:
-    """The random stream of one path: stream id (experiment seed, path index)."""
-    return np.random.default_rng([int(seed), int(path)])
+    """The random stream of one path: stream id (experiment seed, path index).
+
+    Bit for bit ``np.random.default_rng([seed, path])``; the SeedSequence
+    hash is computed for a chunk of paths at once and memoised.
+    """
+    seed, path = int(seed), int(path)
+    if seed < 0 or path < 0:
+        raise ValueError(f"stream ids must be non-negative, not ({seed}, {path})")
+    words = _chunk_seeds(seed, path // _CHUNK)[path % _CHUNK]
+    return np.random.Generator(np.random.PCG64(_PathSeed(words)))
 
 
 @lru_cache(maxsize=64)

@@ -73,7 +73,7 @@ class TestExitCodes:
 
 
 class TestConfigTypes:
-    """Each config value must have the JSON type of its default; others exit 2."""
+    """Each config value must have its default's JSON type and be in range; others exit 2."""
 
     @pytest.mark.parametrize(
         "command, text",
@@ -98,6 +98,42 @@ class TestConfigTypes:
         assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            # these died with bare numpy / IndexError messages at exit 1
+            ("check-algebra", "order", 1),
+            ("check-algebra", "binomial_N", 0),
+            ("check-algebra", "seed", -1),
+            ("check-pointwise", "max_degree", -1),
+            # these passed with their section of the report gone
+            ("check-exact", "float_N_max", 1),
+            ("check-exact", "rational_N_max", 1),
+            ("check-exact", "self_dual_N_max", 0),
+            ("check-exact", "m_values", ""),
+            ("check-exact", "m_values", " , "),
+            ("check-exact", "semigroup_times", ""),
+            ("check-pointwise", "x_grid", ""),
+            ("run-mc", "seed", -5),
+        ],
+    )
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, command, key, value):
+        assert run_cli(tmp_path, command, {key: value}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run-mc", FAST_MC, extra=["--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("check-algebra", "order", 2), ("check-exact", "float_N_max", 2), ("check-pointwise", "max_degree", 0)],
+    )
+    def test_floor_values_run(self, tmp_path, command, key, value):
+        assert run_cli(tmp_path, command, {key: value}) == 0
 
     def test_integer_for_float_key_runs_as_float(self, tmp_path):
         assert run_cli(tmp_path, "reproduce-examples", {"t": 1}) == 0

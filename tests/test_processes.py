@@ -617,3 +617,45 @@ class TestDiffusionStarts:
     def test_boundary_starts_are_accepted(self, spec, x0):
         ends = diffusion_endpoints(spec, x0, 0.05, 1e-2, seed=2, n_paths=4)
         assert ends.shape == (4, spec.dim)
+
+
+class TestPathRng:
+    """path_rng is numpy's default_rng([seed, path]) bit for bit.
+
+    The SeedSequence hash is reimplemented for whole chunks of paths, so a
+    numpy release that changes the hash turns these red rather than
+    silently changing every stream.
+    """
+
+    SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**62 - 1, 2**64 - 1, 2**96 + 7]
+    PATHS = [0, 1, processes._CHUNK - 1, processes._CHUNK, 99_999, 2**32 - 1, 2**32]
+
+    @staticmethod
+    def _same_stream(got, seed, path):
+        want = np.random.default_rng([seed, path]).standard_normal(500)
+        return np.array_equal(got.standard_normal(500).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_default_rng(self, seed):
+        # 2**96 + 7 has four words, so with the path the entropy runs past
+        # the pool and through SeedSequence's extra mixing loop
+        for path in self.PATHS:
+            assert self._same_stream(path_rng(seed, path), seed, path), (seed, path)
+
+    @pytest.mark.parametrize(
+        "seed, path",
+        [(np.uint64(2**64 - 1), np.int64(5)), (np.int64(42), np.uint32(2**32 - 1)), (np.int32(7), np.uint64(2**32))],
+    )
+    def test_numpy_integers(self, seed, path):
+        assert self._same_stream(path_rng(seed, path), int(seed), int(path))
+
+    @pytest.mark.parametrize("seed, path", [(-1, 0), (0, -1), (np.int64(-3), 2)])
+    def test_negative_ids_are_rejected(self, seed, path):
+        with pytest.raises(ValueError):
+            path_rng(seed, path)
+
+    def test_seed_stand_in_serves_only_pcg64(self):
+        seed_seq = path_rng(1, 2).bit_generator.seed_seq
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64)]:
+            with pytest.raises(ValueError):
+                seed_seq.generate_state(n_words, dtype)
