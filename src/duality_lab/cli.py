@@ -8,7 +8,7 @@ Usage::
 Commands: ``check-algebra``, ``check-exact``, ``check-pointwise``,
 ``run-mc``, ``reproduce-examples``.  Flag overrides win over config-file
 values; unknown config keys, values of another JSON type than the key's
-default, integers below the key's floor and empty lists are rejected.
+default, numbers below the key's floor and empty lists are rejected.
 Each command yields its report rows; machine output goes to
 ``<out>/report.csv`` (or ``report.json``), wall-clock info to
 ``<out>/run.log``.  Exit status 0 when every row with a ``passed`` cell
@@ -312,19 +312,16 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
         alpha=lambda x: x * (1.0 - x),
         beta=lambda x: sigma * x * (1.0 - x),
     )
-    chain_n_max = cfg["max_degree"] + 4
-    neutral_chain = processes.generator_matrix(processes.kingman_block(n_max=chain_n_max))
-    mutation_chain = processes.generator_matrix(processes.kingman_block(theta=theta, n_max=chain_n_max))
     # both selection diffusions pair with one birth-death chain
-    selection_chain = processes.generator_matrix(processes.kingman_block(sigma=sigma, n_max=chain_n_max))
+    selection_chain = processes.kingman_block(sigma=sigma)
     pairs = [
-        ("neutral vs block counting", neutral, neutral_chain, exact.monomial_duality()),
-        ("mutation vs block counting + mutation", mutation, mutation_chain, exact.monomial_duality()),
+        ("neutral vs block counting", neutral, processes.kingman_block(), exact.monomial_duality()),
+        ("mutation vs block counting + mutation", mutation, processes.kingman_block(theta=theta), exact.monomial_duality()),
         ("negative selection vs birth-death dual", neg_sel, selection_chain, exact.monomial_duality()),
         ("positive selection vs birth-death dual", pos_sel, selection_chain, exact.mirror_monomial_duality()),
     ]
-    for label, left, gen, D in pairs:
-        rep = exact.check_pointwise_duality(left, gen, D, xs, degrees, identity=label)
+    for label, left, chain, D in pairs:
+        rep = exact.check_pointwise_duality(left, chain, D, xs, degrees, identity=label)
         yield _row("moment-dual", rep.identity, f"degrees<= {degrees[-1]}", rep.max_abs_residual, tol)
 
     # exponential duality: Laplacian vs multiplication
@@ -351,13 +348,13 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
         "symmetric": ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),
         "asymmetric": ((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2)),
     }
+    x_points = ((0.2, 0.5, 0.8), (0.4, 0.1, 0.9), (0.7, 0.7, 0.2))
+    n_points = ((0, 0, 0), (1, 0, 2), (2, 1, 1), (3, 2, 0))
     for label, kern in kernels.items():
-        resid = exact.stepping_stone_pointwise_residual(
-            kern,
-            x_points=((0.2, 0.5, 0.8), (0.4, 0.1, 0.9), (0.7, 0.7, 0.2)),
-            n_points=((0, 0, 0), (1, 0, 2), (2, 1, 1), (3, 2, 0)),
+        rep = exact.check_pointwise_duality(
+            processes.stepping_stone_forward(kern), processes.stepping_stone_dual(kern), exact.monomial_duality(), x_points, n_points
         )
-        yield _row("stepping-stone", "forward vs dual chain", label, resid, tol)
+        yield _row("stepping-stone", "forward vs dual chain", label, rep.max_abs_residual, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +436,17 @@ RUNNERS = {
     "reproduce-examples": (run_reproduce_examples, EXAMPLE_COLUMNS),
 }
 
-# the smallest value of each integer key; below it a suite dies on an empty
-# array or passes with its checks gone
-_MINIMA: dict[str, dict[str, int]] = {
+# the smallest value of each numeric key; below it a suite dies on an empty
+# array, passes with its checks gone, or loosens its own verdict
+_MINIMA: dict[str, dict[str, float]] = {
     "check-algebra": {"order": 2, "finite_N": 1, "binomial_N": 1, "seed": 0},
     "check-exact": {"rational_N_max": 2, "float_N_max": 2, "self_dual_N_max": 2, "wf_moran_N": 1},
     "check-pointwise": {"max_degree": 0},
-    "run-mc": {"seed": 0},
+    "run-mc": {"seed": 0, "n": 1, "tolerance_multiplier": 0.0, "bias_budget_dt_multiple": 0.0},
+    "reproduce-examples": {"d": 2},
 }
+# keys that must be strictly positive: at t = 0 run-mc compares the start with itself
+_POSITIVE: dict[str, tuple[str, ...]] = {"run-mc": ("t",)}
 # comma-separated lists that must name at least one number
 _NONEMPTY_LISTS: dict[str, tuple[str, ...]] = {
     "check-exact": ("m_values", "semigroup_times"),
@@ -473,8 +473,9 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
 
     Every value the file sets must have the JSON type of the key's default:
     a boolean, an integer that is not a boolean, a finite number (stored as
-    a float) or a string.  Integer keys with a floor in ``_MINIMA`` must
-    reach it, and the lists in ``_NONEMPTY_LISTS`` must name a number.
+    a float) or a string.  Keys with a floor in ``_MINIMA`` must reach it,
+    keys in ``_POSITIVE`` must exceed zero, and the lists in
+    ``_NONEMPTY_LISTS`` must name a number.
     Anything else raises ``ValueError`` naming the key.
     """
     cfg = dict(DEFAULTS[command])
@@ -494,6 +495,9 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
     for key, least in _MINIMA.get(command, {}).items():
         if cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, not {cfg[key]}")
+    for key in _POSITIVE.get(command, ()):
+        if cfg[key] <= 0:
+            raise ValueError(f"config key {key!r} must be positive, not {cfg[key]}")
     for key in _NONEMPTY_LISTS.get(command, ()):
         try:
             values = _floats(cfg[key])

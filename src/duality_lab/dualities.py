@@ -18,7 +18,7 @@ gamma-weighted        continuous scalar z, discrete scalar n:
                       z^n Gamma(m/2) / Gamma(m/2 + n)
 product-gamma         continuous simplex x (d entries), discrete k (d):
                       prod x_i^k_i / Gamma(2 theta/(d-1) + k_i)
-moran-self-dual       discrete (k, xi), each d entries:
+moran-self-dual       discrete (k, xi), each d entries, k summing to N:
                       prod k_i!/(k_i-xi_i)! * Gamma(a)/Gamma(xi_i + a)
                       with a = 2 theta/(d-1); zero unless xi <= k
 limiting-sip          discrete occupancy xi (d), continuous x (d):
@@ -191,6 +191,8 @@ def _factors(family: DualityFamily, p: EvalPoint) -> list[tuple[float, float]]:
         if c or len(n) != 2 * d:
             raise ValueError("moran-self-dual needs 2d discrete slots (k then xi)")
         k, xi = n[:d], n[d:]
+        if sum(k) != family.N:
+            raise ValueError("type counts must sum to the population size")
         a = family.gamma_shift
         out = []
         for ki, xii in zip(k, xi):

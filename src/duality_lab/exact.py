@@ -7,11 +7,14 @@ of two scipy routines chosen from the input (see
 approximants (``expm``), or the truncated-Taylor action of Al-Mohy and
 Higham (``expm_multiply``) on the sparse generator, called Krylov here.
 Both work to the double-precision unit roundoff.  Generator dualities are
-checked as matrix identities; diffusion generators enter either through an
-exact polynomial-coefficient representation or through pointwise
-evaluation with analytic derivatives of the duality function.  The
-rational certification runs the models' rates and the algebra's builders
-with ``num=Fraction``.
+checked as matrix identities, or for diffusions through an exact
+polynomial-coefficient representation.  Pointwise identities
+``L_x D(x, n) = K_n D(x, n)`` go through one engine,
+:func:`check_pointwise_duality`: a second-order side acts through its
+drift, covariance and potential on analytic partial derivatives of the
+duality function, and a jump side through its own rates, so no state
+space is enumerated or truncated.  The rational certification runs the
+models' rates and the algebra's builders with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -24,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma
+from math import comb, exp, lgamma, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -262,89 +265,103 @@ class Operator1D:
 class PointwiseDuality:
     """Duality function with optional analytic partial derivatives.
 
-    ``value(u, w)`` takes the left-slot variable ``u`` and the right-slot
-    variable ``w`` (a real or an integer index).  A slot acted on by an
-    :class:`Operator1D` or a diffusion model needs both its derivatives.
+    Each slot variable is a tuple of coordinates: a point of a diffusion's
+    domain (floats) or a jump chain's state (integers); a one-dimensional
+    slot is a 1-tuple.  ``value(u, w)`` takes the left-slot point ``u`` and
+    the right-slot point ``w``.  ``u_partial(u, w, *coords)`` is the
+    derivative in the listed coordinates of ``u`` (``coords = (0, 0)`` is
+    the second derivative of a 1-d slot), ``w_partial`` the same in ``w``.
+    A slot acted on by a second-order operator needs its partial.
     """
 
     value: Callable
-    du: Callable | None = None
-    duu: Callable | None = None
-    dw: Callable | None = None
-    dww: Callable | None = None
+    u_partial: Callable | None = None
+    w_partial: Callable | None = None
+
+
+def _mono(x: Sequence[float], n: Sequence[int]) -> float:
+    out = 1.0
+    for xi, ni in zip(x, n):
+        out *= xi**ni
+    return out
+
+
+def _mono_partial(x: Sequence[float], n: Sequence[int], *coords: int) -> float:
+    """The derivative of ``prod x_i^{n_i}`` in the listed coordinates."""
+    powers, coef = list(n), 1
+    for i in coords:
+        coef *= powers[i]
+        powers[i] -= 1
+    return coef * _mono(x, powers) if coef else 0.0
 
 
 def monomial_duality() -> PointwiseDuality:
-    return PointwiseDuality(
-        value=lambda x, n: x**n,
-        du=lambda x, n: n * x ** (n - 1) if n >= 1 else 0.0,
-        duu=lambda x, n: n * (n - 1) * x ** (n - 2) if n >= 2 else 0.0,
-    )
+    """``prod x_i^{n_i}``, the moment duality of the diffusions with their block-counting chains."""
+    return PointwiseDuality(value=_mono, u_partial=_mono_partial)
 
 
 def mirror_monomial_duality() -> PointwiseDuality:
-    """(1-x)^n, the duality function of the positive-selection diffusion."""
+    """``prod (1 - x_i)^{n_i}``, the duality function of the positive-selection diffusion."""
+    flip = lambda x: tuple(1.0 - xi for xi in x)
+    # each derivative in x brings out a factor -1
     return PointwiseDuality(
-        value=lambda x, n: (1.0 - x) ** n,
-        du=lambda x, n: -n * (1.0 - x) ** (n - 1) if n >= 1 else 0.0,
-        duu=lambda x, n: n * (n - 1) * (1.0 - x) ** (n - 2) if n >= 2 else 0.0,
+        value=lambda x, n: _mono(flip(x), n),
+        u_partial=lambda x, n, *coords: (-1) ** len(coords) * _mono_partial(flip(x), n, *coords),
     )
 
 
 def exp_xy_duality() -> PointwiseDuality:
-    e = lambda x, y: exp(x * y)
-    return PointwiseDuality(
-        value=e,
-        du=lambda x, y: y * e(x, y),
-        duu=lambda x, y: y * y * e(x, y),
-        dw=lambda x, y: x * e(x, y),
-        dww=lambda x, y: x * x * e(x, y),
-    )
+    """``exp(x . y)``; each derivative in a coordinate of one slot brings out that coordinate of the other."""
+    value = lambda x, y: exp(sum(xi * yi for xi, yi in zip(x, y)))
+    u_partial = lambda x, y, *coords: prod((y[i] for i in coords), start=1.0) * value(x, y)
+    return PointwiseDuality(value, u_partial, lambda x, y, *coords: u_partial(y, x, *coords))
 
 
-def _partials(D: PointwiseDuality, u: float, w, slot: str) -> tuple[float, float]:
-    d1, d2 = (D.du, D.duu) if slot == "left" else (D.dw, D.dww)
-    if d1 is None or d2 is None:
-        raise ValueError(f"the duality function lacks the {slot}-slot derivatives")
-    return (d1(u, w), d2(u, w))
-
-
-def _on_grid(side, grid: Sequence) -> Operator1D:
-    """A 1-d diffusion model as an :class:`Operator1D`, its coefficients evaluated once per point."""
-    if not isinstance(side, DiffusionModel):
-        return side
-    coefs = {float(at): processes.drift_diffusion(side, at) for at in grid}
-    if any(a.shape != (1, 1) for _, a in coefs.values()):
-        raise ValueError("pointwise checks support one-dimensional diffusions")
-    return Operator1D(alpha=lambda at: 0.5 * float(coefs[at][1][0, 0]), beta=lambda at: float(coefs[at][0][0]))
-
-
-def _apply_side(side, D: PointwiseDuality, u: float, w, slot: str) -> float:
-    """Apply one side's operator to the duality function at a grid point."""
-    if isinstance(side, Operator1D):
-        at = u if slot == "left" else w
-        d1, d2 = _partials(D, u, w, slot)
-        out = side.alpha(at) * d2 + side.beta(at) * d1
-        if side.gamma is not None:
-            out += side.gamma(at) * D.value(u, w)
-        return out
+def _side_at(side, grid: Sequence, slot: str, D: PointwiseDuality) -> tuple[list[tuple], list]:
+    """The grid as tuples of coordinates, and the side at each point: a jump
+    model's transitions (a list), or a second-order side's ``(b, a, gamma)``
+    with the nonzero covariance entries listed as ``(i, j, a_ij)``."""
     if isinstance(side, GeneratorMatrix):
+        raise TypeError("pass the JumpModel itself, not its generator_matrix: a jump side is read through its rates")
+    jumps = isinstance(side, JumpModel) and not isinstance(side, DiffusionModel)
+    num = int if jumps else float
+    points = [tuple(num(v) for v in p) if np.ndim(p) else (num(p),) for p in grid]
+    if jumps:
         if slot != "right":
-            raise ValueError("jump generators act on the right slot here")
-        i = side.index.pos[tuple(int(v) for v in np.atleast_1d(w))]
-        Q = side.Q
-        lo, hi = Q.indptr[i], Q.indptr[i + 1]
-        states = side.index.states
-        return float(
-            sum(
-                rate * D.value(u, states[j][0] if side.index.d == 1 else states[j])
-                for j, rate in zip(Q.indices[lo:hi], Q.data[lo:hi])
-                if rate
-            )
-        )
-    if isinstance(side, JumpModel):
-        raise ValueError("pass jump processes as a GeneratorMatrix")
-    raise TypeError(f"unsupported operator description {type(side)!r}")
+            raise ValueError(f"{side.kind} is a jump model: jump models act on the right slot, so pass it as right")
+        return points, [list(side.rates(w)) for w in points]
+    if (D.u_partial if slot == "left" else D.w_partial) is None:
+        raise ValueError(f"the duality function lacks the {slot}-slot derivatives")
+    if isinstance(side, Operator1D):
+        b = [[side.beta(x)] for (x,) in points]
+        a = [[[2.0 * side.alpha(x)]] for (x,) in points]
+        gamma = [None if side.gamma is None else side.gamma(x) for (x,) in points]
+    elif isinstance(side, DiffusionModel):
+        # one call for the whole grid: a matrix drift such as the stepping
+        # stone's can differ in the last bit between one-row and many-row products
+        b, a = processes._checked_coefficients(side, np.array(points, dtype=float))
+        b, a, gamma = b.tolist(), a.tolist(), [None] * len(points)
+    else:
+        raise TypeError(f"unsupported operator description {type(side)!r}")
+    return points, [
+        (bx, [(i, j, aij) for i, row in enumerate(ax) for j, aij in enumerate(row) if aij], g)
+        for bx, ax, g in zip(b, a, gamma)
+    ]
+
+
+def _apply_side(op, D: PointwiseDuality, u: tuple, w: tuple, slot: str) -> float:
+    """Apply one side's operator, prepared at this grid point, to the duality function at (u, w)."""
+    if isinstance(op, list):
+        base = D.value(u, w)
+        out = 0.0
+        for target, rate in op:
+            out += rate * (D.value(u, target) - base)
+        return out
+    b, a, gamma = op
+    partial = D.u_partial if slot == "left" else D.w_partial
+    out = sum(bi * partial(u, w, i) for i, bi in enumerate(b))
+    out += 0.5 * sum(aij * partial(u, w, i, j) for i, j, aij in a)
+    return out if gamma is None else out + gamma * D.value(u, w)
 
 
 def check_pointwise_duality(
@@ -358,63 +375,28 @@ def check_pointwise_duality(
 ) -> ResidualReport:
     """Max over a grid of |(K_l D)(u, w) - (K_r D)(u, w)|.
 
-    ``left`` acts on the first slot (a 1-d diffusion model or
-    :class:`Operator1D`); ``right`` acts on the second slot (a jump
-    :class:`GeneratorMatrix`, 1-d diffusion model, or :class:`Operator1D`).
+    ``left`` acts on the first slot: an :class:`Operator1D` or a diffusion
+    model of any dimension.  ``right`` acts on the second slot: either of
+    those, or a :class:`~duality_lab.processes.JumpModel`.  A grid point is
+    a number or a sequence of coordinates; a jump side's grid lists states.
+
+    Each side is read once per grid point.  A second-order side becomes its
+    drift ``b``, covariance ``a`` (a diffusion model's checked positive
+    semidefinite) and optional potential ``gamma``, and acts as
+    ``sum b_i d_i D + (1/2) sum a_ij d_ij D (+ gamma D)`` through the
+    duality's partials.  A jump model acts through its own rates,
+    ``sum rate (D(u, target) - D(u, w))``, so no state space is enumerated
+    or truncated; pass the model, not its ``generator_matrix``.
     """
-    left, right = _on_grid(left, left_grid), _on_grid(right, right_grid)
+    left_points, left_ops = _side_at(left, left_grid, "left", duality)
+    right_points, right_ops = _side_at(right, right_grid, "right", duality)
     worst = 0.0
-    for u in left_grid:
-        for w in right_grid:
-            lhs = _apply_side(left, duality, float(u), w, "left")
-            rhs = _apply_side(right, duality, float(u), w, "right")
+    for u, lop in zip(left_points, left_ops):
+        for w, rop in zip(right_points, right_ops):
+            lhs = _apply_side(lop, duality, u, w, "left")
+            rhs = _apply_side(rop, duality, u, w, "right")
             worst = max(worst, abs(lhs - rhs))
     return ResidualReport(identity, worst, f"{len(left_grid)} x {len(right_grid)} grid")
-
-
-def _mono(x: Sequence[float], n: Sequence[int]) -> float:
-    out = 1.0
-    for xi, ni in zip(x, n):
-        out *= xi**ni
-    return out
-
-
-def _mono_partial(x: Sequence[float], n: Sequence[int], *sites: int) -> float:
-    """The derivative of ``prod x_i^{n_i}`` in the listed coordinates."""
-    powers, coef = list(n), 1
-    for i in sites:
-        coef *= powers[i]
-        powers[i] -= 1
-    return coef * _mono(x, powers) if coef else 0.0
-
-
-def stepping_stone_pointwise_residual(
-    kernel: Sequence[Sequence[float]],
-    x_points: Sequence[Sequence[float]],
-    n_points: Sequence[Sequence[int]],
-) -> float:
-    """Pointwise duality residual of the stepping-stone pair.
-
-    Left side: the forward diffusion generator, from the model's
-    coefficients, applied to the product-power duality function
-    analytically.  Right side: the migration/coalescence dual chain's rates
-    acting on the occupation argument.
-    """
-    spec = processes.stepping_stone_forward(kernel)
-    dual = processes.stepping_stone_dual(kernel)
-    b, a = spec.coefficients(np.asarray(x_points, dtype=float))
-    sites = range(spec.dim)
-    worst = 0.0
-    for x, bx, ax in zip(x_points, b, a):
-        for n in n_points:
-            lhs = sum(bx[i] * _mono_partial(x, n, i) for i in sites)
-            lhs += 0.5 * sum(ax[i, j] * _mono_partial(x, n, i, j) for i in sites for j in sites if ax[i, j])
-            base = _mono(x, n)
-            rhs = 0.0
-            for target, rate in dual.rates(tuple(n)):
-                rhs += rate * (_mono(x, target) - base)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -686,17 +686,22 @@ def drift_diffusion(spec: DiffusionModel, x: Sequence[float] | float) -> tuple[n
     written as ``alpha(x) d^2/dx^2 + beta(x) d/dx`` this means ``a = 2 alpha``
     and ``b = beta``.
     """
+    b, a = _checked_coefficients(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
+    return b[0], a[0]
+
+
+def _checked_coefficients(spec: DiffusionModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spec.coefficients(x)``, each row of ``x`` checked to be a state and
+    each covariance to be positive semidefinite."""
     spec = _diffusion_model(spec)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (spec.dim,):
+    if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ValueError(f"{spec.kind} state must have {spec.dim} coordinates")
-    b, a = spec.coefficients(xv[None, :])
-    bvec, amat = b[0], a[0]
-    eigs = np.linalg.eigvalsh(amat)
-    scale = max(1.0, float(np.abs(amat).max()))
-    if eigs.min() < -1e-10 * scale:
-        raise ValueError(f"diffusion matrix not positive semidefinite at {x!r}")
-    return bvec, amat
+    b, a = spec.coefficients(x)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    bad = np.nonzero(np.linalg.eigvalsh(a).min(axis=1) < -1e-10 * scale)[0]
+    if bad.size:
+        raise ValueError(f"diffusion matrix not positive semidefinite at {tuple(x[bad[0]].tolist())!r}")
+    return b, a
 
 
 # ---------------------------------------------------------------------------

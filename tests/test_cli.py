@@ -124,6 +124,26 @@ class TestConfigTypes:
         assert err.startswith("config error:") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            # these exited 0 with a passing row that compared nothing or
+            # loosened its own tolerance
+            ("run-mc", dict(FAST_MC, t=0.0), "t"),
+            ("run-mc", dict(FAST_MC, experiment="wf-moment-vs-kingman", n=0), "n"),
+            ("run-mc", dict(FAST_MC, tolerance_multiplier=-1.0), "tolerance_multiplier"),
+            # this failed its row at exit 1 whatever the estimate
+            ("run-mc", dict(FAST_MC, bias_budget_dt_multiple=-1.0), "bias_budget_dt_multiple"),
+            # this died with "sip needs d >= 2" at exit 1
+            ("reproduce-examples", {"d": 1}, "d"),
+        ],
+    )
+    def test_vacuous_verdict_is_config_error(self, tmp_path, capsys, command, config, key):
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run-mc", FAST_MC, extra=["--seed", "-1"]) == 2
         assert "'seed'" in capsys.readouterr().err

@@ -92,6 +92,12 @@ class TestEvaluate:
         want = 2 * exp(lgamma(a) - lgamma(1 + a)) * 2 * exp(lgamma(a) - lgamma(1 + a))
         assert val == pytest.approx(want)
 
+    def test_self_dual_counts_must_sum_to_population(self):
+        fam = DualityFamily("moran-self-dual", N=4, theta=0.5, d=2)
+        for k in ((1, 2), (3, 2), (0, 0)):
+            with pytest.raises(ValueError, match="population size"):
+                evaluate_at(fam, (), k + (1, 0))
+
     def test_product_gamma_requires_simplex(self):
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
         with pytest.raises(ValueError):

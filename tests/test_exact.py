@@ -289,29 +289,29 @@ class TestPointwiseDuality:
 
     def test_neutral_wf_vs_block_counting(self):
         left = processes.wf_general_1d({1: 1.0, 2: -1.0})
-        gen = processes.generator_matrix(processes.kingman_block(n_max=10))
-        rep = check_pointwise_duality(left, gen, monomial_duality(), self.xs, self.degrees)
+        chain = processes.kingman_block(n_max=10)
+        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_mutation_wf_vs_block_counting_with_mutation(self):
         theta = 0.7
         left = processes.wf_general_1d({1: 1.0, 2: -1.0}, {0: theta, 1: -theta})
-        gen = processes.generator_matrix(processes.kingman_block(theta=theta, n_max=10))
-        rep = check_pointwise_duality(left, gen, monomial_duality(), self.xs, self.degrees)
+        chain = processes.kingman_block(theta=theta, n_max=10)
+        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_negative_selection_vs_birth_death_dual(self):
         sigma = 0.4
         left = processes.wf_general_1d({1: 1.0, 2: -1.0}, {1: -sigma, 2: sigma})
-        gen = processes.generator_matrix(processes.kingman_block(sigma=sigma, n_max=10))
-        rep = check_pointwise_duality(left, gen, monomial_duality(), self.xs, self.degrees)
+        chain = processes.kingman_block(sigma=sigma, n_max=10)
+        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_positive_selection_uses_mirror_powers(self):
         sigma = 0.4
         left = Operator1D(alpha=lambda x: x * (1 - x), beta=lambda x: sigma * x * (1 - x))
-        gen = processes.generator_matrix(processes.kingman_block(sigma=sigma, n_max=10))
-        rep = check_pointwise_duality(left, gen, mirror_monomial_duality(), self.xs, self.degrees)
+        chain = processes.kingman_block(sigma=sigma, n_max=10)
+        rep = check_pointwise_duality(left, chain, mirror_monomial_duality(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_half_laplacian_vs_quadratic_multiplication(self):
@@ -349,12 +349,141 @@ class TestPointwiseDuality:
             ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),
             ((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2)),
         ):
-            resid = exact.stepping_stone_pointwise_residual(
-                kern,
-                x_points=((0.2, 0.5, 0.8), (0.4, 0.1, 0.9)),
-                n_points=((1, 0, 2), (2, 1, 1), (3, 2, 0)),
-            )
+            resid = check_pointwise_duality(
+                processes.stepping_stone_forward(kern),
+                processes.stepping_stone_dual(kern),
+                monomial_duality(),
+                ((0.2, 0.5, 0.8), (0.4, 0.1, 0.9)),
+                ((1, 0, 2), (2, 1, 1), (3, 2, 0)),
+            ).max_abs_residual
             assert resid <= 1e-12
+
+
+def _reference_mono(x, n):
+    out = 1.0
+    for xi, ni in zip(x, n):
+        out *= xi**ni
+    return out
+
+
+def _reference_mono_partial(x, n, *sites):
+    powers, coef = list(n), 1
+    for i in sites:
+        coef *= powers[i]
+        powers[i] -= 1
+    return coef * _reference_mono(x, powers) if coef else 0.0
+
+
+def _reference_stepping_stone_residual(kernel, x_points, n_points):
+    # the dedicated stepping-stone check the one pointwise engine replaced:
+    # model coefficients on the left, the dual chain's rates on the right
+    spec = processes.stepping_stone_forward(kernel)
+    dual = processes.stepping_stone_dual(kernel)
+    b, a = spec.coefficients(np.asarray(x_points, dtype=float))
+    sites = range(spec.dim)
+    worst = 0.0
+    for x, bx, ax in zip(x_points, b, a):
+        for n in n_points:
+            lhs = sum(bx[i] * _reference_mono_partial(x, n, i) for i in sites)
+            lhs += 0.5 * sum(ax[i, j] * _reference_mono_partial(x, n, i, j) for i in sites for j in sites if ax[i, j])
+            base = _reference_mono(x, n)
+            rhs = 0.0
+            for target, rate in dual.rates(tuple(n)):
+                rhs += rate * (_reference_mono(x, target) - base)
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _central_difference(f, x, coords):
+    """The derivative of ``f`` at the tuple ``x`` in the listed coordinates."""
+    if not coords:
+        return f(x)
+    h = 1e-5 if len(coords) == 1 else 1e-4
+    i, rest = coords[0], coords[1:]
+    up, down = list(x), list(x)
+    up[i] += h
+    down[i] -= h
+    return (_central_difference(f, tuple(up), rest) - _central_difference(f, tuple(down), rest)) / (2 * h)
+
+
+def _assert_partials_match(D, u, w, slot):
+    partial = D.u_partial if slot == "left" else D.w_partial
+    at = u if slot == "left" else w
+    f = (lambda v: D.value(v, w)) if slot == "left" else (lambda v: D.value(u, v))
+    sites = range(len(at))
+    for coords in [(i,) for i in sites] + [(i, j) for i in sites for j in sites]:
+        got, want = partial(u, w, *coords), _central_difference(f, at, coords)
+        assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (u, w, coords, got, want)
+
+
+class TestPointwiseEngine:
+    """The one pointwise engine against the dedicated stepping-stone check it replaced."""
+
+    X_POINTS = ((0.2, 0.5, 0.8), (0.4, 0.1, 0.9), (0.7, 0.7, 0.2))
+    N_POINTS = ((0, 0, 0), (1, 0, 2), (2, 1, 1), (3, 2, 0))
+
+    @pytest.mark.parametrize(
+        "kern",
+        [
+            ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),
+            ((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2)),
+        ],
+    )
+    def test_stepping_stone_shipped_kernels_bit_for_bit(self, kern):
+        rep = check_pointwise_duality(
+            processes.stepping_stone_forward(kern),
+            processes.stepping_stone_dual(kern),
+            monomial_duality(),
+            self.X_POINTS,
+            self.N_POINTS,
+        )
+        assert rep.max_abs_residual == _reference_stepping_stone_residual(kern, self.X_POINTS, self.N_POINTS)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stepping_stone_random_kernels_bit_for_bit(self, d):
+        rng = np.random.default_rng(7000 + d)
+        for _ in range(5):
+            kern = rng.random((d, d))
+            kern /= kern.sum(axis=1, keepdims=True)
+            x_points = tuple(map(tuple, rng.random((4, d)).tolist()))
+            n_points = tuple(map(tuple, rng.integers(0, 4, size=(5, d)).tolist()))
+            rep = check_pointwise_duality(
+                processes.stepping_stone_forward(kern),
+                processes.stepping_stone_dual(kern),
+                monomial_duality(),
+                x_points,
+                n_points,
+            )
+            assert rep.max_abs_residual == _reference_stepping_stone_residual(kern, x_points, n_points)
+
+    @pytest.mark.parametrize("D", [monomial_duality(), mirror_monomial_duality()], ids=["monomial", "mirror"])
+    def test_power_partials_match_central_differences_1d(self, D):
+        for x in (0.2, 0.55, 0.9):
+            for n in range(6):
+                _assert_partials_match(D, (x,), (n,), "left")
+
+    def test_monomial_partials_match_central_differences_3_sites(self):
+        for n in ((0, 0, 0), (2, 1, 3), (1, 0, 2), (0, 3, 1)):
+            _assert_partials_match(monomial_duality(), (0.3, 0.6, 0.8), n, "left")
+
+    @pytest.mark.parametrize("slot", ["left", "right"])
+    def test_exp_xy_partials_match_central_differences(self, slot):
+        for x in (-1.0, 0.5, 1.5):
+            for y in (-0.7, 0.0, 1.2):
+                _assert_partials_match(exp_xy_duality(), (x,), (y,), slot)
+
+    def test_jump_model_on_the_left_is_rejected(self):
+        neutral = processes.wf_general_1d({1: 1.0, 2: -1.0})
+        with pytest.raises(ValueError, match="pass it as right"):
+            check_pointwise_duality(processes.kingman_block(), neutral, monomial_duality(), (1, 2), (0.3,))
+
+    @pytest.mark.parametrize("slot", ["left", "right"])
+    def test_generator_matrix_is_rejected(self, slot):
+        neutral = processes.wf_general_1d({1: 1.0, 2: -1.0})
+        gen = processes.generator_matrix(processes.kingman_block(n_max=5))
+        sides = (gen, neutral) if slot == "left" else (neutral, gen)
+        with pytest.raises(TypeError, match="pass the JumpModel itself"):
+            check_pointwise_duality(*sides, monomial_duality(), (0.3,), (1, 2))
 
 
 class TestReproduceExamples:
