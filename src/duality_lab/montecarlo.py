@@ -126,6 +126,11 @@ def estimate_duality_side(
     ``dualities.evaluate`` call per row.  ``frozen`` is converted once per
     call, on both sides.
 
+    Along a jump process, ``processes.sample_jump`` draws every path's
+    endpoint in one call, from the streams of ``processes.path_rng``; the
+    evaluation point of each distinct endpoint is built once, and
+    ``dualities.evaluate`` still runs once per path.
+
     For the limiting occupancy duality evaluated along a jump process, the
     estimator multiplies by the indicator that the number of occupied sites
     is conserved; that is the only contribution surviving the vanishing-
@@ -165,15 +170,18 @@ def estimate_duality_side(
                 f"got {full0} with an empty site"
             )
     point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=False)
-    values = []
-    for i in range(cfg.n_paths):
-        rng = processes.path_rng(cfg.seed, i)
-        endpoint = start_t if t == 0 else processes.sample_jump(spec, start_t, t, rng)
+    rngs = (processes.path_rng(cfg.seed, i) for i in range(cfg.n_paths))
+    endpoints = processes.sample_jump(spec, start_t, t, rngs)
+    # each distinct endpoint's point, and whether it lost an occupied site
+    points = {}
+    for endpoint in set(endpoints):
         disc = spec.lift(endpoint) if lift else endpoint
-        value = dualities.evaluate(family, point(disc))
-        if limiting_jump and _occupied(disc) != len(disc):
-            value = 0.0
-        values.append(value)
+        points[endpoint] = (point(disc), limiting_jump and _occupied(disc) != len(disc))
+    values = []
+    for endpoint in endpoints:
+        p, lost = points[endpoint]
+        value = dualities.evaluate(family, p)
+        values.append(0.0 if lost else value)
     return _mean_se(values)
 
 

@@ -16,23 +16,23 @@ A :class:`JumpModel` lists the positive rates out of a state,
 :func:`generator_matrix`: every chain here moves one particle or one count
 per jump, so a row holds a handful of rates however many states there are.
 With ``num=Fraction`` the same rates give the exact rational generator,
-:func:`rational_generator`.  The jump sampler reads the CSR rows through
-per-state cumulative tables.  A :class:`DiffusionModel` gives its drift and
-covariance on a batch of states, ``coefficients(x)``, and its domain;
-:func:`diffusion_endpoints` runs seeded Euler-Maruyama paths from a checked
-start.  ``wf_general_1d`` is both: a diffusion and, through its rates, its
-moment dual chain.  Models and generators are immutable; samplers are pure
-given their random stream.
+:func:`rational_generator`.  The jump sampler, :func:`sample_jump`,
+uniformizes the chain and steps every path of a call at once through
+padded per-state tables of targets and cumulative rates read off the CSR
+rows.  A :class:`DiffusionModel` gives its drift and covariance on a batch
+of states, ``coefficients(x)``, and its domain; :func:`diffusion_endpoints`
+runs seeded Euler-Maruyama paths from a checked start.  ``wf_general_1d``
+is both: a diffusion and, through its rates, its moment dual chain.  Models
+and generators are immutable; samplers are pure given their random streams.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, fsum, sqrt
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -488,8 +488,15 @@ class SteppingStoneForward(DiffusionModel):
     project = staticmethod(_clip_unit)
 
     def _drift_covariance(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (x @ (P + P.T))_i summed term by term: a BLAS product rounds a
+        # one-row batch differently from a many-row one, and each path's
+        # drift must not depend on the batch it runs in
         P = np.asarray(self.kernel)
-        return x @ P.T + x @ P - x * (1.0 + P.sum(axis=0)), 2.0 * x * (1.0 - x)
+        S = P + P.T
+        mix = x[:, :1] * S[0]
+        for j in range(1, self.dim):
+            mix = mix + x[:, j : j + 1] * S[j]
+        return mix - x * (1.0 + P.sum(axis=0)), 2.0 * x * (1.0 - x)
 
 
 @dataclass(frozen=True)
@@ -811,65 +818,141 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_PathSeed(words)))
 
 
+# uniforms in one padded block of jump paths: the size of one diffusion
+# block at run-mc defaults, 20 000 paths x 500 steps of 8 bytes (80 MB)
+_BLOCK_FLOATS = 10_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class _JumpTables:
+    """A chain's generator and its padded per-state jump tables.
+
+    Row ``i`` of ``cum`` holds the cumulative rates of state ``i``'s jumps
+    in column order, padded with +inf; row ``i`` of ``targets`` holds the
+    jumps' states and then ``i`` itself in every remaining column, the
+    self-loop of the uniformized chain.
+    """
+
+    gen: GeneratorMatrix
+    exit: np.ndarray
+    cum: np.ndarray
+    targets: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _cached_chain(
-    spec: JumpModel, truncation: int | None
-) -> tuple[GeneratorMatrix, list[tuple[float, list[int], list[float]]]]:
-    """Generator plus, per state, its exit rate, jump targets and cumulative jump law."""
+def _cached_chain(spec: JumpModel, truncation: int | None) -> _JumpTables:
+    """Generator plus, per state, its exit rate and padded jump tables."""
     gen = generator_matrix(spec, truncation)
     Q = gen.Q
-    tables = []
-    for i in range(Q.shape[0]):
-        lo, hi = Q.indptr[i], Q.indptr[i + 1]
-        cols, vals = Q.indices[lo:hi], Q.data[lo:hi]
-        off = cols != i
-        rates = vals[off]
-        total = rates.sum()
-        cdf = rates
-        if total > 0:
-            # the same normalisation as Generator.choice with p = rates / sum
-            cdf = (rates / total).cumsum()
-            cdf /= cdf[-1]
-        tables.append((float(-vals[~off].sum()), cols[off].tolist(), cdf.tolist()))
-    return gen, tables
+    n = Q.shape[0]
+    rows = np.arange(n).repeat(np.diff(Q.indptr))
+    off = Q.indices != rows
+    src = rows[off]
+    counts = np.bincount(src, minlength=n)
+    col = np.arange(src.size) - (counts.cumsum() - counts)[src]
+    width = int(counts.max(initial=0))
+    rates = np.zeros((n, width))
+    rates[src, col] = Q.data[off]
+    cum = rates.cumsum(axis=1)
+    cum[np.arange(width) >= counts[:, None]] = np.inf
+    targets = np.arange(n)[:, None].repeat(width + 1, axis=1)
+    targets[src, col] = Q.indices[off]
+    return _JumpTables(gen=gen, exit=-Q.diagonal(), cum=cum, targets=targets)
+
+
+@lru_cache(maxsize=256)
+def _uniform_rate(spec: JumpModel, truncation: int | None, i0: int) -> float:
+    """The largest exit rate over the states reachable from state ``i0``."""
+    chain = _cached_chain(spec, truncation)
+    seen = np.zeros(len(chain.exit), dtype=bool)
+    seen[i0] = True
+    frontier = np.array([i0])
+    while frontier.size:
+        reached = np.unique(chain.targets[frontier])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return float(chain.exit[seen].max())
+
+
+def _uniformized_block(chain: _JumpTables, i0: int, lam: float, draws: list[np.ndarray]) -> np.ndarray:
+    """End-state indices of one block of paths, each given by its uniforms.
+
+    The uniforms sit step-major in a (steps, paths) array padded with +inf,
+    which every state's table sends to its self-loop.
+    """
+    sizes = np.array([d.size for d in draws])
+    u = np.full((sizes.max(), len(draws)), np.inf)
+    # u.T is path-major, the order of the concatenated draws
+    u.T[np.arange(len(u)) < sizes[:, None]] = np.concatenate(draws)
+    u *= lam
+    i = np.full(len(draws), i0)
+    cum, width = chain.cum, chain.targets.shape[1]
+    targets = chain.targets.ravel()
+    for step in u:
+        k = np.count_nonzero(cum.take(i, axis=0) <= step[:, None], axis=1)
+        k += i * width
+        i = targets.take(k)
+    return i
 
 
 def sample_jump(
     spec: JumpModel,
     k0: Sequence[int],
     t: float,
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
     truncation: int | None = None,
-) -> tuple[int, ...]:
-    """Exact continuous-time simulation of a jump chain up to horizon t.
+) -> list[tuple[int, ...]]:
+    """Exact endpoints at horizon t of jump-chain paths from k0, one per stream.
 
-    Holding times are exponential with the total exit rate, jump targets
-    categorical in the rates (one uniform draw searched in the state's
-    cumulative table).  Deterministic given the random stream.
+    Uniformization (Jensen 1953): with Λ the largest exit rate over the
+    states reachable from k0, a path takes Poisson(Λt) steps of the
+    discrete chain P = I + Q/Λ.  Each stream draws its step count
+    ``n = rng.poisson(Λt)`` and then its uniforms ``rng.random(n)``, and
+    nothing else, so a path's endpoint depends only on its own stream.  A
+    step with uniform u leaves state i for the first target whose
+    cumulative rate exceeds u·Λ, and stays when none does.
+
+    ``rngs`` is read once, in order, and the steps run across a block of
+    paths at once; a block's padded uniforms stay within about 80 MB.  A
+    horizon whose Λt alone exceeds that is refused before any draw.
     """
     if t < 0:
         raise ValueError("horizon must be non-negative")
     state = tuple(int(v) for v in k0)
     if t == 0:
-        return state
+        return [state for _ in rngs]
     if truncation is None and _jump_model(spec).total_bounded:
         # the particle total is conserved or non-increasing, so the
         # starting total bounds the space
         truncation = sum(state)
-    gen, tables = _cached_chain(spec, truncation)
+    chain = _cached_chain(spec, truncation)
     try:
-        i = gen.index.pos[state]
+        i0 = chain.gen.index.pos[state]
     except KeyError:
         raise ValueError(f"state {state} is outside the enumerated space") from None
-    clock = 0.0
-    while True:
-        rate, targets, cdf = tables[i]
-        if rate <= 0:
-            return gen.index.states[i]
-        clock += rng.exponential(1.0 / rate)
-        if clock > t:
-            return gen.index.states[i]
-        i = targets[bisect_right(cdf, rng.random())]
+    lam = _uniform_rate(spec, truncation, i0)
+    mean_steps = lam * t
+    if mean_steps > _BLOCK_FLOATS:
+        raise ValueError(
+            f"Λ·t = {mean_steps:.4g} uniformization steps a path exceed the {_BLOCK_FLOATS} uniforms of a block"
+        )
+    if lam == 0:
+        # nothing reachable moves: the start is absorbing
+        return [state for _ in rngs]
+    ends: list[np.ndarray] = []
+    block: list[np.ndarray] = []
+    longest = 0
+    for rng in rngs:
+        draws = rng.random(rng.poisson(mean_steps))
+        longest = max(longest, draws.size)
+        if block and (len(block) + 1) * longest > _BLOCK_FLOATS:
+            ends.append(_uniformized_block(chain, i0, lam, block))
+            block, longest = [], draws.size
+        block.append(draws)
+    if block:
+        ends.append(_uniformized_block(chain, i0, lam, block))
+    states = chain.gen.index.states
+    return [states[i] for i in np.concatenate(ends).tolist()] if ends else []
 
 
 def _n_steps(t: float, dt: float) -> tuple[int, float]:

@@ -164,7 +164,7 @@ class TestLimitingOccupancyGuard:
         survive = sum(
             1
             for i in range(cfg.n_paths)
-            if processes.sample_jump(spec, (1, 1), 1.0, processes.path_rng(cfg.seed, i)) == (1, 1)
+            if processes.sample_jump(spec, (1, 1), 1.0, [processes.path_rng(cfg.seed, i)])[0] == (1, 1)
         )
         assert side.mean == pytest.approx(0.21 * survive / cfg.n_paths)
 

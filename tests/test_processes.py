@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,19 +244,32 @@ class TestDriftDiffusion:
 
 
 def _dense_row_sample_jump(Q, index, k0, t, rng):
-    """Reference sampler: dense rows and ``rng.choice`` per jump."""
+    """Reference sampler: uniformization over dense rows, P = I + Q/Λ.
+
+    Λ is the largest exit rate over the states reachable from k0.  The path
+    takes ``rng.poisson(Λt)`` steps; a step with uniform u moves to the
+    first column j != i whose cumulative P[i, j] exceeds u, compared in
+    rate units (cumulative Q[i, j] against u·Λ), and stays when none does:
+    the self-loop P[i, i] takes the remaining mass.
+    """
     i = index.pos[tuple(k0)]
-    clock = 0.0
+    reach = np.zeros(len(Q), dtype=bool)
+    reach[i] = True
     while True:
-        rate = -Q[i, i]
-        if rate <= 0:
-            return index.states[i]
-        clock += rng.exponential(1.0 / rate)
-        if clock > t:
-            return index.states[i]
+        grown = reach | (Q[reach] > 0).any(axis=0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    lam = (-np.diag(Q))[reach].max()
+    if lam <= 0:
+        return index.states[i]
+    for u in rng.random(rng.poisson(lam * t)):
         row = Q[i].copy()
         row[i] = 0.0
-        i = int(rng.choice(Q.shape[0], p=row / row.sum()))
+        j = int(np.searchsorted(row.cumsum(), u * lam, side="right"))
+        if j < len(Q):
+            i = j
+    return index.states[i]
 
 
 class TestSampleJump:
@@ -267,21 +281,20 @@ class TestSampleJump:
     def test_tables_match_dense_row_sampler(self, spec, k0, truncation):
         gen = generator_matrix(spec, truncation)
         Q = gen.Q.toarray()
-        for i in range(500):
-            want = _dense_row_sample_jump(Q, gen.index, k0, 0.5, path_rng(i, i % 7))
-            assert sample_jump(spec, k0, 0.5, path_rng(i, i % 7)) == want
+        want = [_dense_row_sample_jump(Q, gen.index, k0, 0.5, path_rng(i, i % 7)) for i in range(500)]
+        assert sample_jump(spec, k0, 0.5, [path_rng(i, i % 7) for i in range(500)]) == want
 
     def test_zero_horizon(self):
-        assert sample_jump(sip(2, 0.0), (1, 1), 0.0, path_rng(1, 0)) == (1, 1)
+        assert sample_jump(sip(2, 0.0), (1, 1), 0.0, [path_rng(1, 0)])[0] == (1, 1)
 
     def test_absorbing_state(self):
         spec = kingman_block(n_max=6)
-        assert sample_jump(spec, (1,), 50.0, path_rng(1, 1)) == (1,)
+        assert sample_jump(spec, (1,), 50.0, [path_rng(1, 1)])[0] == (1,)
 
     def test_deterministic_given_stream(self):
         spec = sip(2, 1.0)
-        a = [sample_jump(spec, (3, 1), 0.7, path_rng(9, i)) for i in range(50)]
-        b = [sample_jump(spec, (3, 1), 0.7, path_rng(9, i)) for i in range(50)]
+        a = [sample_jump(spec, (3, 1), 0.7, [path_rng(9, i)])[0] for i in range(50)]
+        b = [sample_jump(spec, (3, 1), 0.7, [path_rng(9, i)])[0] for i in range(50)]
         assert a == b
 
     def test_survival_probability_matches_exponential(self):
@@ -289,11 +302,56 @@ class TestSampleJump:
         spec = sip(2, 0.0)
         n, t = 20000, 1.0
         hits = sum(
-            1 for i in range(n) if sample_jump(spec, (1, 1), t, path_rng(123, i)) == (1, 1)
+            1 for i in range(n) if sample_jump(spec, (1, 1), t, [path_rng(123, i)])[0] == (1, 1)
         )
         p_hat = hits / n
         se = math.sqrt(p_hat * (1 - p_hat) / n)
         assert abs(p_hat - math.exp(-1.0)) <= 3 * se
+
+    @staticmethod
+    def _assert_law_matches_expm(spec, k0, t, truncation, seed):
+        gen = generator_matrix(spec, truncation)
+        exact = scipy.linalg.expm(t * gen.Q.toarray())[gen.index.pos[k0]]
+        n = 20000
+        ends = sample_jump(spec, k0, t, (path_rng(seed, i) for i in range(n)), truncation)
+        freq = np.bincount([gen.index.pos[e] for e in ends], minlength=len(exact)) / n
+        se = np.sqrt(exact * (1.0 - exact) / n)
+        assert (np.abs(freq - exact) <= 5 * se).all(), np.abs(freq - exact).max()
+
+    @pytest.mark.parametrize(
+        "spec, k0, truncation",
+        [(moran_multitype(12, 3, 0.5), (4, 4), None), (sip(3, 1.0), (3, 1, 0), 4)],
+        ids=["moran-d3-N12", "sip-d3-m1"],
+    )
+    def test_endpoint_law_matches_expm(self, spec, k0, truncation):
+        self._assert_law_matches_expm(spec, k0, 0.5, truncation, seed=71)
+
+    def test_rate_bound_is_taken_over_reachable_states(self):
+        # from 3 blocks only 3, 2, 1 are reachable: Λ = 3·2 = 6, not the
+        # 200·199 of the window's top state
+        spec = kingman_block(n_max=200)
+        self._assert_law_matches_expm(spec, (3,), 1.0, None, seed=72)
+        for i in range(20):
+            used, replay = path_rng(72, i), path_rng(72, i)
+            sample_jump(spec, (3,), 1.0, [used])
+            replay.random(replay.poisson(6.0))
+            assert used.bit_generator.state == replay.bit_generator.state
+
+    def test_endpoints_do_not_depend_on_the_batch(self, monkeypatch):
+        spec = moran_multitype(12, 3, 0.5)
+        alone = [sample_jump(spec, (4, 4), 0.5, [path_rng(5, i)])[0] for i in range(300)]
+        assert sample_jump(spec, (4, 4), 0.5, [path_rng(5, i) for i in range(300)]) == alone
+        # blocks of a handful of paths each
+        monkeypatch.setattr(processes, "_BLOCK_FLOATS", 100)
+        assert sample_jump(spec, (4, 4), 0.5, [path_rng(5, i) for i in range(300)]) == alone
+
+    def test_long_horizon_is_refused_before_any_draw(self):
+        spec = kingman_block(n_max=200)
+        rngs = [path_rng(3, i) for i in range(4)]
+        before = [r.bit_generator.state for r in rngs]
+        with pytest.raises(ValueError, match="Λ·t"):
+            sample_jump(spec, (200,), 1000.0, rngs)
+        assert [r.bit_generator.state for r in rngs] == before
 
 
 class TestSampleDiffusion:
@@ -338,6 +396,14 @@ class TestSampleDiffusion:
         spec = wf_multitype(2, 0.5)
         a = diffusion_endpoints(spec, (0.3,), 0.25, 1e-2, seed=42, n_paths=100, block=7)
         b = diffusion_endpoints(spec, (0.3,), 0.25, 1e-2, seed=42, n_paths=100, block=100)
+        assert np.array_equal(a, b)
+
+    def test_stepping_stone_block_partition_invariance(self):
+        # the migration drift mixes coordinates; a matrix product would
+        # round a one-path block differently from a 300-path one
+        spec = stepping_stone_forward(((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2)))
+        a = diffusion_endpoints(spec, (0.3, 0.5, 0.7), 1.0, 0.01, 1, 300, block=1)
+        b = diffusion_endpoints(spec, (0.3, 0.5, 0.7), 1.0, 0.01, 1, 300, block=300)
         assert np.array_equal(a, b)
 
     def test_antithetic_pairs_mirror_increments(self):
@@ -405,7 +471,10 @@ def _reference_em_run(spec, x0, t, dt, normals):
             x[fix] *= (total[fix] / sums[fix])[:, None]
         elif kind == "stepping-stone-forward":
             P = np.asarray(spec.kernel)
-            drift = x @ P.T + x @ P - x * (1.0 + P.sum(axis=0))
+            # the migration terms summed one source site at a time, as in
+            # the model, so a row's drift does not depend on the block
+            mix = sum(x[:, j, None] * (P[:, j] + P[j, :]) for j in range(dim))
+            drift = mix - x * (1.0 + P.sum(axis=0))
             noise = np.sqrt(np.maximum(2.0 * x * (1.0 - x), 0.0) * h) * z
             x = x + drift * h + noise
             np.clip(x, 0.0, 1.0, out=x)
@@ -574,7 +643,7 @@ class TestSelectionChainSampling:
         spec = kingman_block(0.0, 0.4, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ends = [sample_jump(spec, (3,), 2.0, path_rng(1, i)) for i in range(50)]
+            ends = [sample_jump(spec, (3,), 2.0, [path_rng(1, i)])[0] for i in range(50)]
         assert all(0 <= n <= 10 for (n,) in ends)
 
 
