@@ -2,13 +2,14 @@
 
 Everything here is deterministic.  Expectations over finite chains go
 through the action of the matrix exponential on the given columns, by one
-of two scipy routines chosen from the input (see
-:func:`matrix_exponential_apply`): dense scaling-and-squaring with Pade
-approximants (``expm``), or the truncated-Taylor action of Al-Mohy and
-Higham (``expm_multiply``) on the sparse generator, called Krylov here.
-Both work to the double-precision unit roundoff.  Generator dualities are
-checked as matrix identities, or for diffusions through an exact
-polynomial-coefficient representation.  Pointwise identities
+of two methods chosen from the input (see
+:func:`matrix_exponential_apply`): scipy's dense scaling-and-squaring with
+Pade approximants (``expm``), or uniformization of the sparse generator
+(Jensen 1953), a Poisson-weighted sum of powers of the nonnegative matrix
+P = I + Q / Lambda.  Both work to the double-precision unit roundoff; the
+second runs about 100 times faster on a 1,771-state inclusion sector.
+Generator dualities are checked as matrix identities, or for diffusions
+through an exact polynomial-coefficient representation.  Pointwise identities
 ``L_x D(x, n) = K_n D(x, n)`` go through one engine,
 :func:`check_pointwise_duality`: a second-order side acts through its
 drift, covariance and potential on analytic partial derivatives of the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, prod
+from math import comb, exp, lgamma, log, prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,35 +89,101 @@ def _as_matrix(Q: GeneratorMatrix | np.ndarray) -> np.ndarray | sparse.csr_array
     return np.asarray(Q, dtype=float)
 
 
-# Krylov is never chosen below this many states: its fixed cost of 1-5 ms
-# (norm estimates, set-up) is outside the flop model and loses to dense
-# there, e.g. 4.2 ms against 1.2 ms on the 91-state d = 3 Moran chain,
-# which the flop ratio alone would send to Krylov
-_KRYLOV_MIN_STATES = 256
+# uniformization never runs below this many states: its call overhead of
+# about 6 us per sparse product is outside the flop model, and below this
+# size the two branches tie at best (0.95 against 0.97 ms on the 91-state
+# d = 3 Moran chain)
+_UNIFORMIZATION_MIN_STATES = 128
+# uniformization runs when its flops are below n^3 / this; the measured
+# crossover table is in CHANGES.md
+_DENSE_FLOP_RATIO = 4
 # peak n x n float64 arrays of the dense branch: the dense copy, tQ and
 # expm's own work arrays (traced at 1,000 states)
 _DENSE_EXPM_ARRAYS = 10
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _prefers_krylov(M: np.ndarray | sparse.sparray, t: float, cols: int, transpose: bool = False) -> bool:
-    """True when ``expm_multiply`` should beat dense ``expm`` on ``exp(tA) B``.
+def _max_exit_rate(M: np.ndarray | sparse.csr_array) -> float:
+    return float(-M.diagonal().min(initial=0.0))
 
-    ``A`` is ``M``, or ``M^T`` with ``transpose``; ``cols`` counts the
-    columns of ``B``.
 
-    Dense ``expm`` costs about n^3 flops whatever the entries.  The Krylov
-    action costs about ``||tA||_1 * nnz * cols`` flops: its number of
-    matrix-vector products grows with the norm.  So size alone is not the
-    rule: stiff chains such as block counting with rates n(n-1) stay dense
-    at a few hundred states, while the sparse inclusion-process sectors go
-    to Krylov.
+def _prefers_uniformization(M: np.ndarray | sparse.csr_array, t: float, cols: int) -> bool:
+    """True when uniformization should beat dense ``expm`` on ``exp(tM) B``.
+
+    ``cols`` counts the columns of ``B``.  Uniformization needs a
+    sub-generator: off-diagonal entries >= 0, so that P = I + M / Lambda is
+    nonnegative, and rows summing to <= 0, so that no power of P grows and
+    the truncated Poisson tail bounds the error.  A generator matrix is one
+    by construction; an array is checked.
+
+    Dense ``expm`` costs about n^3 flops whatever the entries.
+    Uniformization takes about ``x + 9 sqrt(x)`` products of P, with
+    ``x = Lambda t``, each of ``nnz * cols`` flops.  So size alone is not
+    the rule: stiff chains such as block counting with rates n(n-1) stay
+    dense at a few hundred states, while the sparse inclusion-process
+    sectors are uniformized.
     """
     n = M.shape[0]
-    if n < _KRYLOV_MIN_STATES:
+    if n < _UNIFORMIZATION_MIN_STATES:
         return False
+    if not sparse.issparse(M):
+        off = M - np.diag(M.diagonal())
+        if (off < 0).any() or (M.sum(axis=1) > 1e-12 * max(1.0, float(np.abs(M).max()))).any():
+            return False
+    x = _max_exit_rate(M) * t
     nnz = M.nnz if sparse.issparse(M) else np.count_nonzero(M)
-    norm1 = t * float(abs(M).sum(axis=1 if transpose else 0).max())
-    return norm1 * nnz * cols < n**3 / 8
+    return (x + 9.0 * sqrt(x)) * nnz * cols < n**3 / _DENSE_FLOP_RATIO
+
+
+def _poisson_weights(x: float) -> np.ndarray:
+    """Poisson(x) probabilities w_0, ..., w_{K-1} of the kept terms.
+
+    The weight at the mode m = floor(x) is taken in log space,
+    ``exp(m ln x - x - lgamma(m + 1))``, so it does not underflow when
+    exp(-x) does (x > 745).  The others follow from it by the ratios
+    ``w_k / w_{k-1} = x / k``, so each is within about |k - m| roundoffs;
+    a log-space exponent per weight, of size x ln x, would lose 1e-12 of a
+    weight at x = 1,000.  K is the first k > x whose tail bound
+    ``w_k (k + 1) / (k + 1 - x)``, at least the mass of every term from k
+    on, is below the unit roundoff.  As that mass is left out, dividing the
+    kept weights by their sum only removes the rounding of the mode weight.
+    """
+    mode = int(x)
+    weights = [exp(mode * log(x) - x - lgamma(mode + 1))]
+    for k in range(mode, 0, -1):
+        weights.append(weights[-1] * k / x)
+    weights.reverse()
+    k = mode
+    while True:
+        k += 1
+        w = weights[-1] * x / k
+        if k > x and w * (k + 1) / (k + 1 - x) < _UNIT_ROUNDOFF:
+            break
+        weights.append(w)
+    out = np.array(weights)
+    return out / out.sum()
+
+
+def _uniformized(M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, transpose: bool) -> np.ndarray:
+    """``exp(tM) v`` as ``sum_k w_k P^k v`` (Jensen 1953), w the Poisson(Lambda t) weights.
+
+    Lambda is the largest exit rate and P = I + M / Lambda.  Every term is
+    nonnegative for nonnegative ``v``, so nothing cancels and no norm is
+    estimated.  With ``transpose`` the powers are those of P^T.
+    """
+    lam = _max_exit_rate(M)
+    if lam * t == 0.0:
+        return v.copy()
+    P = sparse.csr_array(M / lam) + sparse.eye_array(M.shape[0], format="csr")
+    if transpose:
+        P = P.T
+    weights = _poisson_weights(lam * t)
+    out = weights[0] * v
+    term = v
+    for w in weights[1:]:
+        term = P @ term
+        out += w * term
+    return out
 
 
 def _physical_memory() -> int | None:
@@ -124,6 +191,33 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _exponential_action(
+    Q: GeneratorMatrix | np.ndarray, v: np.ndarray, t: float, transpose: bool
+) -> tuple[np.ndarray, str]:
+    """:func:`matrix_exponential_apply`'s result and the name of the branch that computed it."""
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    M = _as_matrix(Q)
+    v = np.asarray(v, dtype=float)
+    if M.shape[0] != M.shape[1] or M.shape[1] != v.shape[0]:
+        raise ValueError("dimension mismatch")
+    if _prefers_uniformization(M, t, 1 if v.ndim == 1 else v.shape[1]):
+        return _uniformized(M, v, t, transpose), "uniformization"
+    if t == 0:
+        return v.copy(), "matrix-exponential"
+    n = M.shape[0]
+    need = _DENSE_EXPM_ARRAYS * 8 * n * n
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"dense matrix exponential of {n} states needs about {need} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    if sparse.issparse(M):
+        M = M.toarray()
+    return expm(t * (M.T if transpose else M)) @ v, "matrix-exponential"
 
 
 def matrix_exponential_apply(
@@ -136,42 +230,20 @@ def matrix_exponential_apply(
     """Return ``expm(t Q) v`` (or ``expm(t Q^T) v`` with ``transpose``).
 
     The method follows a cost rule on the input.  With n states, nnz
-    stored entries and ``cols`` columns in ``v``, ``expm_multiply`` runs on
-    the sparse matrix when n >= 256 and ``||tQ||_1 * nnz * cols < n^3 / 8``;
-    otherwise dense ``expm`` runs on ``Q.toarray()``.  The first is the
-    flop count of the Krylov action, the second that of dense scaling and
-    squaring.  Size alone would be the wrong rule: a 401-state block
-    counting chain runs some 50x slower under Krylov because its norm is
-    large, while a 1,771-state inclusion sector runs 25x faster.  Before
-    a dense exponential whose working set (about ten n x n float64
-    arrays) exceeds physical memory, a ``ValueError`` is raised instead of
-    allocating.
+    stored entries, ``cols`` columns in ``v`` and ``x = Lambda t``, Lambda
+    the largest exit rate, ``Q`` is uniformized when it is a sub-generator
+    (a generator matrix, or an array with off-diagonal entries >= 0 and
+    rows summing to <= 0), n >= 128 and ``(x + 9 sqrt(x)) * nnz * cols <
+    n^3 / 4``; otherwise dense ``expm`` runs on ``Q.toarray()``.  The first
+    is the flop count of uniformization, the second that of dense scaling
+    and squaring.  Size alone would be the wrong rule: a 401-state block
+    counting chain runs some 18x slower uniformized because its rates are
+    large, while a 1,771-state inclusion sector runs 100x faster.  Both
+    branches work to the double-precision unit roundoff.  Before a dense
+    exponential whose working set (about ten n x n float64 arrays) exceeds
+    physical memory, a ``ValueError`` is raised instead of allocating.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    M = _as_matrix(Q)
-    v = np.asarray(v, dtype=float)
-    if M.shape[0] != M.shape[1] or M.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch")
-    if t == 0:
-        return v.copy()
-    if _prefers_krylov(M, t, 1 if v.ndim == 1 else v.shape[1], transpose):
-        # imported here: scipy.sparse.linalg adds ~13 ms to every start-up,
-        # and most runs never pick Krylov
-        from scipy.sparse.linalg import expm_multiply
-
-        return expm_multiply(t * (M.T if transpose else M), v)
-    n = M.shape[0]
-    need = _DENSE_EXPM_ARRAYS * 8 * n * n
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ValueError(
-            f"dense matrix exponential of {n} states needs about {need} bytes, "
-            f"more than the {memory} bytes of physical memory"
-        )
-    if sparse.issparse(M):
-        M = M.toarray()
-    return expm(t * (M.T if transpose else M)) @ v
+    return _exponential_action(Q, v, t, transpose)[0]
 
 
 def exact_expectation(
@@ -182,16 +254,16 @@ def exact_expectation(
 ) -> ExactExpectation:
     """E_{k0} f(X_t) for the chain with generator ``gen``.
 
-    ``method`` names the branch :func:`matrix_exponential_apply` takes:
-    ``"matrix-exponential"`` (dense ``expm``) or ``"expm-multiply"``.
+    ``method`` names the branch of :func:`matrix_exponential_apply` that
+    computed the value: ``"matrix-exponential"`` (dense ``expm``) or
+    ``"uniformization"``.
     """
     state = tuple(int(v) for v in k0)
     try:
         i = gen.index.pos[state]
     except KeyError:
         raise ValueError(f"state {state} is outside the enumerated space") from None
-    w = matrix_exponential_apply(gen, np.asarray(f, dtype=float), t)
-    method = "expm-multiply" if _prefers_krylov(gen.Q, t, 1) else "matrix-exponential"
+    w, method = _exponential_action(gen, f, t, False)
     return ExactExpectation(value=float(w[i]), method=method, state_space_size=len(gen.index))
 
 

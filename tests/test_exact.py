@@ -1,10 +1,12 @@
 """Matrix-exponential oracles, exact duality checks, worked examples."""
 
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import exp
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from duality_lab import algebra, exact, processes
 from duality_lab.exact import (
@@ -91,15 +93,15 @@ def _sip_cross_sector(d, N, n=2, m=1.0):
 
 
 class TestOracleSelection:
-    """The cost rule picks Krylov or dense from size, norm and sparsity of the input."""
+    """The cost rule picks uniformization or dense from size, rates and sparsity of the input."""
 
     @pytest.mark.parametrize("d, N", [(3, 30), (4, 16), (4, 20)])
     @pytest.mark.parametrize("t", [0.4, 0.6])
-    def test_sparse_sip_sectors_use_krylov(self, d, N, t):
+    def test_sparse_sip_sectors_are_uniformized(self, d, N, t):
         gen = processes.generator_matrix(processes.sip(d, 1.0), truncation=N)
-        assert exact._prefers_krylov(gen.Q, t, 11)
+        assert exact._prefers_uniformization(gen.Q, t, 11)
         out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[0], t)
-        assert out.method == "expm-multiply"
+        assert out.method == "uniformization"
         assert out.value == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -114,7 +116,7 @@ class TestOracleSelection:
     )
     def test_small_or_stiff_chains_stay_dense(self, spec, truncation, t):
         gen = processes.generator_matrix(spec, truncation)
-        assert not exact._prefers_krylov(gen.Q, t, 1)
+        assert not exact._prefers_uniformization(gen.Q, t, 1)
         out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[-1], t)
         assert out.method == "matrix-exponential"
 
@@ -122,6 +124,128 @@ class TestOracleSelection:
         gen = processes.generator_matrix(processes.kingman_block(n_max=200_000))
         with pytest.raises(ValueError, match="needs about .* bytes"):
             matrix_exponential_apply(gen, np.ones(len(gen.index)), 1.0)
+
+
+class TestUniformization:
+    """The uniformized action against dense ``scipy.linalg.expm``, within 1e-12 of max|result|."""
+
+    @staticmethod
+    def _assert_matches_expm(M, v, t, transpose=False):
+        A = M.toarray() if hasattr(M, "toarray") else np.asarray(M)
+        want = scipy.linalg.expm(t * (A.T if transpose else A)) @ v
+        got = exact._uniformized(M, np.asarray(v, dtype=float), t, transpose)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        return got
+
+    @pytest.mark.parametrize("d, N, n", [(3, 30, 3), (4, 20, 2)], ids=["496-states", "1771-states"])
+    def test_sip_sectors_eleven_columns(self, d, N, n):
+        K, Kh, D = _sip_cross_sector(d, N, n)
+        B = np.column_stack([D, np.ones(len(K.index))])
+        assert B.shape[1] == 11
+        got = self._assert_matches_expm(K.Q, B, 0.5)
+        assert np.abs(got[:, -1] - 1.0).max() <= 1e-14
+
+    def test_moran_with_mutation(self):
+        gen = processes.generator_matrix(processes.moran_multitype(12, 3, 0.7))
+        B = np.random.default_rng(3).random((len(gen.index), 4))
+        self._assert_matches_expm(gen.Q, B, 0.8)
+
+    def test_truncated_stepping_stone_dual(self):
+        kernel = ((0.2, 0.5, 0.3), (0.1, 0.3, 0.6), (0.4, 0.4, 0.2))
+        gen = processes.generator_matrix(processes.stepping_stone_dual(kernel), truncation=8)
+        B = np.random.default_rng(4).random((len(gen.index), 3))
+        self._assert_matches_expm(gen.Q, B, 0.6)
+
+    def test_block_counting_with_selection(self):
+        gen = processes.generator_matrix(processes.kingman_block(theta=0.7, sigma=0.3, n_max=30))
+        B = np.random.default_rng(5).random((len(gen.index), 2))
+        self._assert_matches_expm(gen.Q, B, 0.05)
+
+    def test_killed_sub_generator(self):
+        # the d = 3 Moran chain on the states where every type is present,
+        # killed when one dies out: rows that can reach the boundary sum below 0
+        gen = processes.generator_matrix(processes.moran_multitype(20, 3, 0.0))
+        # a state lists the counts of the first d - 1 types
+        keep = [i for i, state in enumerate(gen.index.states) if min(state) > 0 and sum(state) < 20]
+        Q = gen.Q.toarray()[np.ix_(keep, keep)]
+        assert len(keep) == 171 and Q.sum(axis=1).min() < -1.0
+        v = np.random.default_rng(6).random((len(keep), 2))
+        got, method = exact._exponential_action(Q, v, 0.05, False)
+        assert method == "uniformization"
+        want = scipy.linalg.expm(0.05 * Q) @ v
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_transpose(self):
+        gen = processes.generator_matrix(processes.kingman_block(theta=0.7, sigma=0.3, n_max=30))
+        start = np.zeros(len(gen.index))
+        start[gen.index.pos[(5,)]] = 1.0
+        probs = self._assert_matches_expm(gen.Q, start, 0.05, transpose=True)
+        assert abs(probs.sum() - 1.0) <= 1e-14
+
+    def test_vector_argument(self):
+        K, _, D = _sip_cross_sector(3, 20, 2)
+        got = self._assert_matches_expm(K.Q, D[:, 2], 0.4)
+        assert got.ndim == 1
+
+    def test_every_state_absorbing(self):
+        Q = np.zeros((200, 200))
+        v = np.random.default_rng(7).random((200, 3))
+        got, method = exact._exponential_action(Q, v, 2.0, False)
+        assert method == "uniformization"
+        assert np.array_equal(got, v)
+
+    def test_long_horizon_does_not_underflow(self):
+        # Lambda t of about 1,000: exp(-Lambda t) alone underflows to 0
+        gen = processes.generator_matrix(processes.sip(2, 1.0), truncation=99)
+        assert len(gen.index) == 100
+        t = 1000.0 / -gen.Q.diagonal().min()
+        B = np.column_stack([np.random.default_rng(8).random(100), np.ones(100)])
+        got = self._assert_matches_expm(gen.Q, B, t)
+        assert np.abs(got[:, -1] - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("x", [2.5, 2000.0])
+    def test_flip_flop_closed_form(self, x):
+        # P = I + Q / Lambda swaps the two states, so the terms alternate:
+        # exp(tQ) e_1 = ((1 + exp(-2x)) / 2, (1 - exp(-2x)) / 2) with x = Lambda t
+        Q = np.array([[-3.0, 3.0], [3.0, -3.0]])
+        got = exact._uniformized(Q, np.array([1.0, 0.0]), x / 3.0, False)
+        want = np.array([(1 + exp(-2 * x)) / 2, (1 - exp(-2 * x)) / 2])
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_negative_off_diagonal_goes_dense(self):
+        gen = processes.generator_matrix(processes.sip(3, 1.0), truncation=20)
+        Q = gen.Q.toarray()
+        assert exact._exponential_action(Q, np.ones(len(Q)), 0.5, False)[1] == "uniformization"
+        Q[0, 1] -= 2.0 * Q[0, 1] + 1.0
+        got, method = exact._exponential_action(Q, np.ones(len(Q)), 0.5, False)
+        assert method == "matrix-exponential"
+        assert np.array_equal(got, scipy.linalg.expm(0.5 * Q) @ np.ones(len(Q)))
+
+    def test_positive_row_sum_goes_dense(self):
+        gen = processes.generator_matrix(processes.sip(3, 1.0), truncation=20)
+        Q = gen.Q.toarray()
+        Q[0, 1] += 1.0
+        assert exact._exponential_action(Q, np.ones(len(Q)), 0.5, False)[1] == "matrix-exponential"
+
+    @pytest.mark.parametrize("x", [0.3, 7.5, 108.2, 1000.0])
+    def test_poisson_weights_stop_at_the_first_small_tail_bound(self, x):
+        # exact Poisson(x) probabilities to 60 digits: the kept terms end at the
+        # first k > x whose bound w_k (k + 1) / (k + 1 - x) is below the unit
+        # roundoff, and the terms left out carry less than that mass
+        getcontext().prec = 60
+        unit = Decimal(2) ** -53
+        X = Decimal(x)
+        k, p, kept = 0, (-X).exp(), []
+        while k <= x or p * (k + 1) / (k + 1 - X) >= unit:
+            kept.append(p)
+            k += 1
+            p = p * X / k
+        weights = exact._poisson_weights(x)
+        assert len(weights) == len(kept)
+        assert 1 - sum(kept) < unit
+        want = np.array([float(p / sum(kept)) for p in kept])
+        assert np.abs(weights - want).max() <= 1e-14 * want.max()
 
 
 class TestLargeSectors:
