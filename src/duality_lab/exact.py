@@ -174,7 +174,8 @@ def _uniformized(M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, tran
     lam = _max_exit_rate(M)
     if lam * t == 0.0:
         return v.copy()
-    P = sparse.csr_array(M / lam) + sparse.eye_array(M.shape[0], format="csr")
+    # sparse.identity, not eye_array: the latter is newer than scipy 1.10
+    P = sparse.csr_array(M / lam) + sparse.csr_array(sparse.identity(M.shape[0], format="csr"))
     if transpose:
         P = P.T
     weights = _poisson_weights(lam * t)

@@ -723,12 +723,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _POOL = 4
-# paths hashed together: [0, 256), [256, 512), [512, 1024), ... doubling up
-# to 4,096 paths, then 4,096 at a time.  A chunk's size is a power of two
-# dividing its start and 2**32, so every path of a chunk has as many 32-bit
-# words as the chunk's first; a short estimate hashes only about the paths
-# it uses
-_FIRST_CHUNK = 256
+# paths hashed together; a power of two dividing 2**32, so every path of a
+# chunk has as many 32-bit words as the chunk's first
 _CHUNK = 4096
 
 
@@ -761,33 +757,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _SHIFT)
 
 
-def _chunk_of(path: int) -> tuple[int, int]:
-    """First path and size of the chunk holding ``path``."""
-    if path >= _CHUNK:
-        return path - path % _CHUNK, _CHUNK
-    if path < _FIRST_CHUNK:
-        return 0, _FIRST_CHUNK
-    size = 1 << (path.bit_length() - 1)
-    return size, size
-
-
 @lru_cache(maxsize=2)
-def _chunk_seeds(seed: int, start: int, size: int) -> np.ndarray:
-    """PCG64 seed words of the paths of one chunk, shape (size, 4) uint64.
+def _chunk_seeds(seed: int, chunk: int) -> np.ndarray:
+    """PCG64 seed words of the paths of one chunk, shape (_CHUNK, 4) uint64.
 
-    Row ``j`` equals ``SeedSequence([seed, start + j])
+    Row ``j`` equals ``SeedSequence([seed, chunk * _CHUNK + j])
     .generate_state(4, np.uint64)``: the same mixing, run in uint32 arrays
     across the chunk's paths at once.  Callers walk paths in order, so two
     cached chunks cover a chunk boundary or a second seed.
     """
-    path_words = _int_words(start)
+    path_words = _int_words(chunk * _CHUNK)
     words = _int_words(seed) + path_words
-    entropy = np.empty((len(words), size), dtype=np.uint32)
+    entropy = np.empty((len(words), _CHUNK), dtype=np.uint32)
     entropy[:] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words) - len(path_words)] += np.arange(size, dtype=np.uint32)
+    entropy[len(words) - len(path_words)] += np.arange(_CHUNK, dtype=np.uint32)
 
     hashmix = _hasher(_INIT_A, _MULT_A)
-    zeros = np.zeros(size, dtype=np.uint32)
+    zeros = np.zeros(_CHUNK, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(words) else zeros) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
@@ -799,7 +785,7 @@ def _chunk_seeds(seed: int, start: int, size: int) -> np.ndarray:
 
     # generate_state(4, uint64): eight uint32 words, paired little-endian
     hashout = _hasher(_INIT_B, _MULT_B)
-    state = np.empty((size, 2 * _POOL), dtype=np.uint32)
+    state = np.empty((_CHUNK, 2 * _POOL), dtype=np.uint32)
     for i in range(2 * _POOL):
         state[:, i] = hashout(pool[i % _POOL])
     seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
@@ -828,8 +814,7 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
     seed, path = int(seed), int(path)
     if seed < 0 or path < 0:
         raise ValueError(f"stream ids must be non-negative, not ({seed}, {path})")
-    start, size = _chunk_of(path)
-    words = _chunk_seeds(seed, start, size)[path - start]
+    words = _chunk_seeds(seed, path // _CHUNK)[path % _CHUNK]
     return np.random.Generator(np.random.PCG64(_PathSeed(words)))
 
 

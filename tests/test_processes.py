@@ -697,9 +697,7 @@ class TestPathRng:
     """
 
     SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**62 - 1, 2**64 - 1, 2**96 + 7]
-    # each side of every chunk boundary: the chunks double from 256 paths to
-    # 4,096, then stay at 4,096
-    PATHS = [0, 1, 255, 256, 511, 512, 2_047, 2_048, 4_095, 4_096, 99_999, 2**32 - 1, 2**32]
+    PATHS = [0, 1, processes._CHUNK - 1, processes._CHUNK, 99_999, 2**32 - 1, 2**32]
 
     @staticmethod
     def _same_stream(got, seed, path):
