@@ -37,7 +37,6 @@ __all__ = [
     "build_representation",
     "commutator",
     "check_commutation_relations",
-    "duality_matrix",
     "check_intertwiner",
     "binomial_transform",
     "falling_factorial_matrix",
@@ -319,7 +318,7 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
 
 
 # ---------------------------------------------------------------------------
-# duality matrices and intertwiner checks
+# falling-factorial and Hermite matrices, intertwiner checks
 # ---------------------------------------------------------------------------
 
 
@@ -349,47 +348,6 @@ def hermite_coefficient_matrix(M: int) -> np.ndarray:
         out[1:, n + 1] = 2.0 * out[:-1, n]
         out[:, n + 1] -= 2.0 * n * out[:, n - 1]
     return out
-
-
-def duality_matrix(family, rows: Basis, cols: Basis) -> np.ndarray:
-    """Expand a duality function as a matrix over two bases.
-
-    Entry ``(i, n)`` is the coefficient (or value) of the column function
-    ``D(., n)`` in the row basis.  Raises ``ValueError`` when the duality
-    function is not exactly expressible in the requested row basis.
-
-    ``family`` is a :class:`~duality_lab.dualities.DualityFamily`; only the
-    kinds with a polynomial (or diagonal) expansion are supported here.
-    """
-    from . import dualities  # local import, avoids a cycle
-
-    if not isinstance(family, dualities.DualityFamily):
-        raise TypeError("family must be a DualityFamily")
-    kind = family.kind
-    if kind == "monomial":
-        if rows.kind != "monomial" or rows.size != cols.size:
-            raise ValueError("monomial duality needs equal-size monomial rows")
-        return np.eye(rows.size)
-    if kind == "hypergeometric-finite":
-        N = family.N
-        assert N is not None
-        if rows.size != N + 1 or cols.size != N + 1:
-            raise ValueError("hypergeometric-finite duality needs bases of size N+1")
-        return falling_factorial_matrix(N)
-    if kind == "gamma-weighted":
-        if rows.kind != "monomial" or rows.size != cols.size:
-            raise ValueError("gamma-weighted duality needs equal-size monomial rows")
-        from scipy.special import gammaln
-
-        a = family.m / 2.0
-        n = np.arange(rows.size)
-        return np.diag(np.exp(gammaln(a) - gammaln(a + n)))
-    if kind == "hermite-weighted":
-        if rows.kind != "monomial" or rows.size != cols.size:
-            raise ValueError("hermite-weighted duality needs equal-size monomial rows")
-        # coefficients are relative to the Gaussian-gauged monomial basis
-        return hermite_coefficient_matrix(rows.size - 1)
-    raise ValueError(f"duality kind {kind!r} has no exact expansion in the requested basis")
 
 
 def check_intertwiner(

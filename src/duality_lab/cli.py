@@ -121,6 +121,12 @@ def _row(suite: str, check: str, params: str, value: float, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _hypergeometric_matrix(N: int) -> np.ndarray:
+    """The hypergeometric duality's matrix between the Moran chain of size N and block counting."""
+    basis = algebra.Basis("falling-factorial", N + 1, N=N)
+    return dualities.HypergeometricFinite(N).matrix(basis, basis)
+
+
 def run_check_algebra(cfg: dict) -> Iterator[dict]:
     tol = cfg["tolerance"]
     M = cfg["order"]
@@ -148,7 +154,7 @@ def run_check_algebra(cfg: dict) -> Iterator[dict]:
     rai = 2.0 * X - A
     comm = algebra.commutator(low, rai) - np.eye(size)
     yield _row("commutation", "gauss-ladder: [lower,raise] - I", f"M={M}", float(np.abs(comm[: M - 1, : M - 1]).max()), tol)
-    H = algebra.hermite_coefficient_matrix(M)
+    H = dualities.HermiteWeighted().matrix(cont.basis, disc.basis)
     rep = algebra.check_intertwiner(low, disc.ops["lower"], H, identity="gauss lower vs occupation lower")
     yield _row("intertwiner", rep.identity, f"M={M}", rep.max_abs_residual, tol)
     rep = algebra.check_intertwiner(rai, disc.ops["raise"], H, cols=slice(0, M), identity="gauss raise vs occupation raise")
@@ -158,21 +164,20 @@ def run_check_algebra(cfg: dict) -> Iterator[dict]:
     # x(1-x) f'' is twice the mutation-free Wright-Fisher generator
     K = 2.0 * exact.wf_monomial_matrix(0.0, M)
     kingman = processes.generator_matrix(processes.kingman_block(n_max=M))
+    Dm = dualities.Monomial().matrix(cont.basis, disc.basis)
     rep = algebra.check_intertwiner(
-        K, kingman.Q, np.eye(size), rows=slice(0, M - 1), cols=slice(0, M - 1), identity="neutral diffusion vs block counting"
+        K, kingman.Q, Dm, rows=slice(0, M - 1), cols=slice(0, M - 1), identity="neutral diffusion vs block counting"
     )
     yield _row("intertwiner", rep.identity, f"M={M}", rep.max_abs_residual, tol)
 
     # finite population vs block counting with the falling-factorial matrix
     moran, kingmanN = (processes.generator_matrix(model) for model in exact.moran_block_counting(N))
-    D = algebra.falling_factorial_matrix(N)
+    D = _hypergeometric_matrix(N)
     rep = algebra.check_intertwiner(moran.Q, kingmanN.Q, D, identity="moran vs block counting")
     yield _row("intertwiner", rep.identity, f"N={N}", rep.max_abs_residual, tol)
 
     # su(1,1) continuous vs discrete through the diagonal gamma-ratio matrix
-    Dg = algebra.duality_matrix(
-        dualities.DualityFamily("gamma-weighted", m=m), cont11.basis, disc11.basis
-    )
+    Dg = dualities.GammaWeighted(m).matrix(cont11.basis, disc11.basis)
     for name in ("lower", "raise", "number"):
         rep = algebra.check_intertwiner(
             cont11.ops[name],
@@ -189,7 +194,7 @@ def run_check_algebra(cfg: dict) -> Iterator[dict]:
     worst = 0.0
     for rho in (0.1, 0.5, 0.9):
         pmf = np.array([comb(NB, k) * rho**k * (1 - rho) ** (NB - k) for k in range(NB + 1)])
-        DN = algebra.falling_factorial_matrix(NB)
+        DN = _hypergeometric_matrix(NB)
         got = pmf @ DN
         want = np.array([rho**n for n in range(NB + 1)])
         worst = max(worst, float(np.abs(got - want).max()))
@@ -234,7 +239,7 @@ def run_check_exact(cfg: dict) -> Iterator[dict]:
 
     for N in range(2, cfg["float_N_max"] + 1):
         moran, kingman = (processes.generator_matrix(model) for model in exact.moran_block_counting(N))
-        D = algebra.falling_factorial_matrix(N)
+        D = _hypergeometric_matrix(N)
         rep = exact.check_generator_duality(moran, kingman, D, name="moran vs block counting")
         yield _row("moran-kingman", rep.identity, f"N={N}", rep.max_abs_residual, tol)
 
@@ -263,7 +268,7 @@ def run_check_exact(cfg: dict) -> Iterator[dict]:
     # generator duality propagates to the semigroups
     N = 6
     moran, kingman = (processes.generator_matrix(model) for model in exact.moran_block_counting(N))
-    D = algebra.falling_factorial_matrix(N)
+    D = _hypergeometric_matrix(N)
     for t in _floats(cfg["semigroup_times"]):
         lhs = exact.matrix_exponential_apply(moran, D, t)
         rhs = (exact.matrix_exponential_apply(kingman, D.T, t)).T
@@ -315,10 +320,10 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
     # both selection diffusions pair with one birth-death chain
     selection_chain = processes.kingman_block(sigma=sigma)
     pairs = [
-        ("neutral vs block counting", neutral, processes.kingman_block(), exact.monomial_duality()),
-        ("mutation vs block counting + mutation", mutation, processes.kingman_block(theta=theta), exact.monomial_duality()),
-        ("negative selection vs birth-death dual", neg_sel, selection_chain, exact.monomial_duality()),
-        ("positive selection vs birth-death dual", pos_sel, selection_chain, exact.mirror_monomial_duality()),
+        ("neutral vs block counting", neutral, processes.kingman_block(), dualities.Monomial()),
+        ("mutation vs block counting + mutation", mutation, processes.kingman_block(theta=theta), dualities.Monomial()),
+        ("negative selection vs birth-death dual", neg_sel, selection_chain, dualities.Monomial()),
+        ("positive selection vs birth-death dual", pos_sel, selection_chain, dualities.MirrorMonomial()),
     ]
     for label, left, chain, D in pairs:
         rep = exact.check_pointwise_duality(left, chain, D, xs, degrees, identity=label)
@@ -328,7 +333,7 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
     grid = _floats(cfg["xy_grid"])
     left = exact.Operator1D(alpha=lambda x: 0.5, beta=lambda x: 0.0)
     right = exact.Operator1D(alpha=lambda y: 0.0, beta=lambda y: 0.0, gamma=lambda y: 0.5 * y * y)
-    rep = exact.check_pointwise_duality(left, right, exact.exp_xy_duality(), grid, grid, identity="half Laplacian vs quadratic multiplication")
+    rep = exact.check_pointwise_duality(left, right, dualities.Exponential(), grid, grid, identity="half Laplacian vs quadratic multiplication")
     yield _row("exponential", rep.identity, f"grid={cfg['xy_grid']}", rep.max_abs_residual, tol)
 
     # exponential duality: square-root-type diffusion pair on the half line
@@ -336,11 +341,11 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
     hgrid = _floats(cfg["halfline_grid"])
     left = exact.Operator1D(alpha=lambda x: c1 * x * x + c2 * x, beta=lambda x: c3 * x)
     right = exact.Operator1D(alpha=lambda y: c1 * y * y, beta=lambda y: c2 * y * y + c3 * y)
-    rep = exact.check_pointwise_duality(left, right, exact.exp_xy_duality(), hgrid, hgrid, identity="half-line diffusion pair")
+    rep = exact.check_pointwise_duality(left, right, dualities.Exponential(), hgrid, hgrid, identity="half-line diffusion pair")
     yield _row("exponential", rep.identity, f"c=({c1},{c2},{c3})", rep.max_abs_residual, tol)
 
     self_dual = exact.Operator1D(alpha=lambda x: c1 * x * x, beta=lambda x: c3 * x)
-    rep = exact.check_pointwise_duality(self_dual, self_dual, exact.exp_xy_duality(), hgrid, hgrid, identity="self-dual half-line diffusion")
+    rep = exact.check_pointwise_duality(self_dual, self_dual, dualities.Exponential(), hgrid, hgrid, identity="self-dual half-line diffusion")
     yield _row("exponential", rep.identity, f"c=({c1},0,{c3})", rep.max_abs_residual, tol)
 
     # stepping stone vs migration/coalescence dual, product powers duality
@@ -352,7 +357,7 @@ def run_check_pointwise(cfg: dict) -> Iterator[dict]:
     n_points = ((0, 0, 0), (1, 0, 2), (2, 1, 1), (3, 2, 0))
     for label, kern in kernels.items():
         rep = exact.check_pointwise_duality(
-            processes.stepping_stone_forward(kern), processes.stepping_stone_dual(kern), exact.monomial_duality(), x_points, n_points
+            processes.stepping_stone_forward(kern), processes.stepping_stone_dual(kern), dualities.Monomial(), x_points, n_points
         )
         yield _row("stepping-stone", "forward vs dual chain", label, rep.max_abs_residual, tol)
 

@@ -1,106 +1,85 @@
 """Catalog of duality functions with numerically stable evaluation.
 
-Each :class:`DualityFamily` names one bilinear function ``D(first, second)``
-on a product of state spaces.  ``evaluate`` computes values either directly
-or in log space with sign tracking; the log path engages automatically once
-any factor leaves the safe double range, and the two paths agree to relative
-1e-12 wherever the direct one is representable.
+Each catalog function is one frozen dataclass: its parameters, checked at
+construction, and its formula, written once.  ``DualityFamily(kind,
+**params)`` builds the object of a kind from the parameters its formula
+takes.  Every object reduces a point to ``factors(point)``, a list of
+``(base, exponent)`` pairs; ``evaluate`` multiplies them directly or, once
+any factor leaves the safe double range, in log space with sign tracking,
+and the two paths agree to relative 1e-12 wherever the direct one is
+representable.  Where a function has a matrix form it has ``matrix(rows,
+cols)``, and where the pointwise engine (``exact.check_pointwise_duality``)
+acts on it, ``value(u, w)`` and the partials ``u_partial(u, w, *coords)``
+and ``w_partial``.
+
+The estimator reads three class attributes instead of kind strings:
+``slots``, the type of each slot (``float`` continuous, ``int`` discrete);
+``lifted``, whether the function reads a d-type state with its implicit
+last type written out; and ``occupancy``, whether the estimator along a
+jump process applies the indicator that no occupied site empties.  Both
+slots of every function have the same number of coordinates.
 
 Slot conventions (first argument, second argument):
 
-====================  =======================================================
-monomial              continuous vector x, discrete vector n: prod x_i^n_i
-exponential           continuous pair (x, y): exp(x*y)
-hermite-weighted      continuous scalar x, discrete scalar n:
-                      exp(-x^2/2) H_n(x), physicists' Hermite polynomials
-hypergeometric-finite discrete pair (k, n): C(k,n)/C(N,n), zero for n > k
-gamma-weighted        continuous scalar z, discrete scalar n:
-                      z^n Gamma(m/2) / Gamma(m/2 + n)
-product-gamma         continuous simplex x (d entries), discrete k (d):
-                      prod x_i^k_i / Gamma(2 theta/(d-1) + k_i)
-moran-self-dual       discrete (k, xi), each d entries, k summing to N:
-                      prod k_i!/(k_i-xi_i)! * Gamma(a)/Gamma(xi_i + a)
-                      with a = 2 theta/(d-1); zero unless xi <= k
-limiting-sip          discrete occupancy xi (d), continuous x (d):
-                      prod over occupied sites of x_i^xi_i / (xi_i - 1)!
-====================  =======================================================
+=====================  ======================================================
+monomial               continuous vector x, discrete vector n: prod x_i^n_i
+mirror-monomial        continuous vector x, discrete vector n:
+                       prod (1 - x_i)^n_i
+exponential            continuous vectors (x, y) of one size: exp(x . y)
+hermite-weighted       continuous scalar x, discrete scalar n:
+                       exp(-x^2/2) H_n(x), physicists' Hermite polynomials
+hypergeometric-finite  discrete pair (k, n): C(k,n)/C(N,n), zero for n > k
+gamma-weighted         continuous scalar z, discrete scalar n:
+                       z^n Gamma(m/2) / Gamma(m/2 + n)
+product-gamma          continuous simplex x (d entries), discrete k (d):
+                       prod x_i^k_i / Gamma(2 theta/(d-1) + k_i)
+moran-self-dual        discrete (k, xi) of one size: prod k_i!/(k_i-xi_i)!
+                       * Gamma(a)/Gamma(xi_i + a), zero unless xi <= k;
+                       a = 2 theta/(d-1) and k summing to N for the d-type
+                       Moran model, a = m/2 for the inclusion process
+limiting-sip           discrete occupancy xi (d), continuous x (d):
+                       prod over occupied sites of x_i^xi_i / (xi_i - 1)!
+=====================  ======================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, isfinite, lgamma, log
-from typing import Sequence
+from dataclasses import dataclass, fields
+from math import exp, isfinite, lgamma, log, prod
+from numbers import Integral, Real
+from typing import ClassVar, Sequence
 
 import numpy as np
+from scipy.special import gammaln
+
+from .algebra import Basis, falling_factorial_matrix, hermite_coefficient_matrix
 
 __all__ = [
     "DualityFamily",
+    "Monomial",
+    "MirrorMonomial",
+    "Exponential",
+    "HermiteWeighted",
+    "HypergeometricFinite",
+    "GammaWeighted",
+    "ProductGamma",
+    "InclusionSelfDuality",
+    "LimitingSip",
     "EvalPoint",
     "evaluate",
+    "evaluate_at",
     "cheap_self_duality",
     "transform_by_symmetry",
     "hermite_value",
     "KINDS",
 ]
 
-KINDS = (
-    "monomial",
-    "exponential",
-    "hermite-weighted",
-    "hypergeometric-finite",
-    "gamma-weighted",
-    "product-gamma",
-    "moran-self-dual",
-    "limiting-sip",
-)
-
 #: direct evaluation switches to log space past these factor magnitudes
 _OVERFLOW = 1e300
 _UNDERFLOW = 1e-300
 
 _SIMPLEX_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DualityFamily:
-    """One duality function plus the parameters its formula needs."""
-
-    kind: str
-    N: int | None = None
-    m: float | None = None
-    theta: float | None = None
-    d: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown duality kind {self.kind!r}")
-        need = {
-            "hypergeometric-finite": ("N",),
-            "gamma-weighted": ("m",),
-            "product-gamma": ("theta", "d"),
-            "moran-self-dual": ("N", "theta", "d"),
-        }.get(self.kind, ())
-        for name in ("N", "m", "theta", "d"):
-            val = getattr(self, name)
-            if name in need and val is None:
-                raise ValueError(f"{self.kind} requires parameter {name}")
-            if name not in need and val is not None:
-                raise ValueError(f"{self.kind} does not take parameter {name}")
-        if self.m is not None and self.m <= 0:
-            raise ValueError("m must be strictly positive")
-        if self.theta is not None and self.theta <= 0:
-            raise ValueError("theta must be strictly positive")
-        if self.d is not None and self.d < 2:
-            raise ValueError("d must be an integer >= 2")
-        if self.N is not None and self.N < 1:
-            raise ValueError("N must be a positive integer")
-
-    @property
-    def gamma_shift(self) -> float:
-        """The Gamma-argument offset 2*theta/(d-1) of the product families."""
-        assert self.theta is not None and self.d is not None
-        return 2.0 * self.theta / (self.d - 1)
+_E = exp(1.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +98,23 @@ def _point(continuous: Sequence[float], discrete: Sequence[int]) -> EvalPoint:
     return EvalPoint(tuple(float(c) for c in continuous), tuple(int(n) for n in discrete))
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real) or not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+
+
+def _square_basis(kind: str, rows: Basis, cols: Basis) -> int:
+    """The common size of a monomial row basis and an equal-size column basis."""
+    if rows.kind != "monomial" or rows.size != cols.size:
+        raise ValueError(f"{kind} duality needs equal-size monomial rows")
+    return rows.size
+
+
 def hermite_value(n: int, x: float) -> float:
     """H_n(x) in the physicists' convention, H_{j+1} = 2x H_j - 2j H_{j-1}."""
     if n == 0:
@@ -129,56 +125,192 @@ def hermite_value(n: int, x: float) -> float:
     return cur
 
 
-# each family is reduced to a list of (base, exponent) factors; the direct
-# path multiplies the raw powers, the log path sums exponent-weighted log
-# magnitudes with sign tracking
+class _Duality:
+    """Defaults of the class attributes every catalog function carries."""
+
+    kind: ClassVar[str]
+    slots: ClassVar[tuple[type, type]]
+    lifted: ClassVar[bool] = False
+    occupancy: ClassVar[bool] = False
+
+    @classmethod
+    def parameters(cls) -> tuple[str, ...]:
+        """The keyword parameters :func:`DualityFamily` passes for this kind."""
+        return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def build(cls, **params) -> _Duality:
+        return cls(**params)
 
 
-def _factors(family: DualityFamily, p: EvalPoint) -> list[tuple[float, float]]:
-    kind = family.kind
-    c, n = p.continuous, p.discrete
-    if kind == "monomial":
+# ---------------------------------------------------------------------------
+# product powers: the moment dualities and their partials
+# ---------------------------------------------------------------------------
+
+
+class _Powers(_Duality):
+    """``prod b(x_i)^n_i`` with ``b`` the identity or the mirror ``1 - x``.
+
+    ``value``, ``u_partial`` and ``factors`` share the bases; each
+    derivative in ``x`` brings out the sign of ``b'``.
+    """
+
+    slots = (float, int)
+    lifted = True
+    w_partial: ClassVar[None] = None
+    _sign: ClassVar[int]
+
+    def _bases(self, x: Sequence[float]) -> Sequence[float]:
+        raise NotImplementedError
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, n = p.continuous, p.discrete
         if len(c) != len(n) or not c:
-            raise ValueError("monomial needs matching continuous/discrete vectors")
-        return [(x, float(k)) for x, k in zip(c, n)]
-    if kind == "exponential":
-        if len(c) != 2 or n:
-            raise ValueError("exponential needs a continuous pair (x, y)")
-        return [(exp(c[0] * c[1]), 1.0)]
-    if kind == "hermite-weighted":
+            raise ValueError(f"{self.kind} needs matching continuous/discrete vectors")
+        return [(b, float(k)) for b, k in zip(self._bases(c), n)]
+
+    @staticmethod
+    def _product(bases: Sequence[float], n: Sequence[int]) -> float:
+        out = 1.0
+        for b, k in zip(bases, n):
+            out *= b**k
+        return out
+
+    def value(self, x: Sequence[float], n: Sequence[int]) -> float:
+        return self._product(self._bases(x), n)
+
+    def u_partial(self, x: Sequence[float], n: Sequence[int], *coords: int) -> float:
+        """The derivative in the listed coordinates of ``x``."""
+        powers, coef = list(n), 1
+        for i in coords:
+            coef *= powers[i]
+            powers[i] -= 1
+        return self._sign ** len(coords) * (coef * self._product(self._bases(x), powers) if coef else 0.0)
+
+
+@dataclass(frozen=True)
+class Monomial(_Powers):
+    """``prod x_i^{n_i}``, the moment duality of the diffusions with their block-counting chains."""
+
+    kind = "monomial"
+    _sign = 1
+
+    def _bases(self, x: Sequence[float]) -> Sequence[float]:
+        return x
+
+    def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
+        """The identity: monomials are the row basis."""
+        return np.eye(_square_basis(self.kind, rows, cols))
+
+
+@dataclass(frozen=True)
+class MirrorMonomial(_Powers):
+    """``prod (1 - x_i)^{n_i}``, the duality function of the positive-selection diffusion."""
+
+    kind = "mirror-monomial"
+    _sign = -1
+
+    def _bases(self, x: Sequence[float]) -> Sequence[float]:
+        return tuple(1.0 - xi for xi in x)
+
+
+# ---------------------------------------------------------------------------
+# continuous-continuous and continuous-discrete functions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Exponential(_Duality):
+    """``exp(x . y)``; each derivative in a coordinate of one slot brings out that coordinate of the other."""
+
+    kind = "exponential"
+    slots = (float, float)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, half = p.continuous, len(p.continuous) // 2
+        if p.discrete or not c or len(c) % 2:
+            raise ValueError("exponential needs two continuous slots (x, y) of one size")
+        return [(self.value(c[:half], c[half:]), 1.0)]
+
+    def value(self, x: Sequence[float], y: Sequence[float]) -> float:
+        return exp(sum(xi * yi for xi, yi in zip(x, y)))
+
+    def u_partial(self, x: Sequence[float], y: Sequence[float], *coords: int) -> float:
+        return prod((y[i] for i in coords), start=1.0) * self.value(x, y)
+
+    def w_partial(self, x: Sequence[float], y: Sequence[float], *coords: int) -> float:
+        return self.u_partial(y, x, *coords)
+
+
+@dataclass(frozen=True)
+class HermiteWeighted(_Duality):
+    """``exp(-x^2/2) H_n(x)``; the Gaussian factor goes to the log path as ``(e, -x^2/2)``."""
+
+    kind = "hermite-weighted"
+    slots = (float, int)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, n = p.continuous, p.discrete
         if len(c) != 1 or len(n) != 1:
             raise ValueError("hermite-weighted needs one continuous and one discrete slot")
         x = c[0]
-        return [(exp(-x * x / 2.0), 1.0), (hermite_value(n[0], x), 1.0)]
-    if kind == "hypergeometric-finite":
-        if c or len(n) != 2:
-            raise ValueError("hypergeometric-finite needs a discrete pair (k, n)")
-        k, deg = n
-        assert family.N is not None
-        if deg > family.N:
-            raise ValueError("degree exceeds the population size")
-        if k > family.N:
-            raise ValueError("count exceeds the population size")
-        if deg > k:
-            return [(0.0, 1.0)]
-        # C(k,deg)/C(N,deg) as a product of linear ratios
-        return [((k - j) / (family.N - j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
-    if kind == "gamma-weighted":
+        return [(_E, -x * x / 2.0), (hermite_value(n[0], x), 1.0)]
+
+    def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
+        """Hermite coefficients, relative to the Gaussian-gauged monomial basis."""
+        return hermite_coefficient_matrix(_square_basis(self.kind, rows, cols) - 1)
+
+
+@dataclass(frozen=True)
+class GammaWeighted(_Duality):
+    """``z^n Gamma(m/2) / Gamma(m/2 + n)``, the su(1,1) intertwiner of label ``m``."""
+
+    m: float
+    kind = "gamma-weighted"
+    slots = (float, int)
+
+    def __post_init__(self) -> None:
+        _check_positive("m", self.m)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, n = p.continuous, p.discrete
         if len(c) != 1 or len(n) != 1:
             raise ValueError("gamma-weighted needs one continuous and one discrete slot")
         z, deg = c[0], n[0]
         if z < 0:
             raise ValueError("gamma-weighted needs z >= 0")
-        a = family.m / 2.0
+        a = self.m / 2.0
         # z^deg / ((a)(a+1)...(a+deg-1))
         return [(z / (a + j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
-    if kind == "product-gamma":
-        d = family.d
-        if len(c) != d or len(n) != d:
+
+    def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
+        """The diagonal of Gamma ratios, monomials on the rows."""
+        n = np.arange(_square_basis(self.kind, rows, cols))
+        a = self.m / 2.0
+        return np.diag(np.exp(gammaln(a) - gammaln(a + n)))
+
+
+@dataclass(frozen=True)
+class ProductGamma(_Duality):
+    """``prod x_i^k_i / Gamma(a + k_i)``, ``a = 2 theta/(d-1)``: d-type Wright-Fisher vs Moran."""
+
+    theta: float
+    d: int
+    kind = "product-gamma"
+    slots = (float, int)
+    lifted = True
+
+    def __post_init__(self) -> None:
+        _check_positive("theta", self.theta)
+        _check_integer("d", self.d, 2)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, n = p.continuous, p.discrete
+        if len(c) != self.d or len(n) != self.d:
             raise ValueError("product-gamma needs d continuous and d discrete slots")
         if abs(sum(c) - 1.0) > _SIMPLEX_TOL:
             raise ValueError("product-gamma continuous coordinates must lie on the simplex")
-        a = family.gamma_shift
+        a = 2.0 * self.theta / (self.d - 1)
         out: list[tuple[float, float]] = []
         for x, k in zip(c, n):
             if x < 0:
@@ -186,23 +318,19 @@ def _factors(family: DualityFamily, p: EvalPoint) -> list[tuple[float, float]]:
             out.append((x, float(k)))
             out.append((_E, -lgamma(a + k)))
         return out
-    if kind == "moran-self-dual":
-        d = family.d
-        if c or len(n) != 2 * d:
-            raise ValueError("moran-self-dual needs 2d discrete slots (k then xi)")
-        k, xi = n[:d], n[d:]
-        if sum(k) != family.N:
-            raise ValueError("type counts must sum to the population size")
-        a = family.gamma_shift
-        out = []
-        for ki, xii in zip(k, xi):
-            if xii > ki:
-                return [(0.0, 1.0)]
-            # falling factorial k(k-1)...(k-xi+1)
-            out.extend((float(ki - j), 1.0) for j in range(xii))
-            out.append((_E, lgamma(a) - lgamma(a + xii)))
-        return out or [(1.0, 1.0)]
-    if kind == "limiting-sip":
+
+
+@dataclass(frozen=True)
+class LimitingSip(_Duality):
+    """``prod x_i^xi_i / (xi_i - 1)!`` over occupied sites: the vanishing-mutation limit."""
+
+    kind = "limiting-sip"
+    slots = (int, float)
+    lifted = True
+    occupancy = True
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        c, n = p.continuous, p.discrete
         if len(c) != len(n) or not c:
             raise ValueError("limiting-sip needs matching occupancy and coordinate vectors")
         out = []
@@ -211,19 +339,160 @@ def _factors(family: DualityFamily, p: EvalPoint) -> list[tuple[float, float]]:
                 out.append((x, float(xi)))
                 out.append((_E, -lgamma(xi)))
         return out or [(1.0, 1.0)]
-    raise ValueError(f"unknown duality kind {kind!r}")  # pragma: no cover
 
 
-_E = exp(1.0)
+# ---------------------------------------------------------------------------
+# discrete-discrete functions
+# ---------------------------------------------------------------------------
 
 
-def evaluate(family: DualityFamily, p: EvalPoint, *, method: str = "auto") -> float:
+@dataclass(frozen=True)
+class HypergeometricFinite(_Duality):
+    """``C(k,n)/C(N,n)``: the finite population of size ``N`` vs block counting."""
+
+    N: int
+    kind = "hypergeometric-finite"
+    slots = (int, int)
+
+    def __post_init__(self) -> None:
+        _check_integer("N", self.N, 1)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        if p.continuous or len(p.discrete) != 2:
+            raise ValueError("hypergeometric-finite needs a discrete pair (k, n)")
+        k, deg = p.discrete
+        if deg > self.N:
+            raise ValueError("degree exceeds the population size")
+        if k > self.N:
+            raise ValueError("count exceeds the population size")
+        if deg > k:
+            return [(0.0, 1.0)]
+        # C(k,deg)/C(N,deg) as a product of linear ratios
+        return [((k - j) / (self.N - j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
+
+    def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
+        """``[C(k,n)/C(N,n)]`` for k, n in 0..N, lower triangular."""
+        if rows.size != self.N + 1 or cols.size != self.N + 1:
+            raise ValueError("hypergeometric-finite duality needs bases of size N+1")
+        return falling_factorial_matrix(self.N)
+
+
+@dataclass(frozen=True)
+class InclusionSelfDuality(_Duality):
+    """``prod k_i!/(k_i - xi_i)! * Gamma(a)/Gamma(a + xi_i)``, zero unless xi <= k.
+
+    The self-duality of the inclusion process with ``a = m/2``, and of the
+    d-type Moran model with ``a = 2 theta/(d-1)`` and population ``N``,
+    which the inclusion process becomes on a sector.  With ``N`` set the
+    counts ``k`` must sum to it.
+    """
+
+    a: float
+    N: int | None = None
+    kind = "moran-self-dual"
+    slots = (int, int)
+    lifted = True
+
+    def __post_init__(self) -> None:
+        _check_positive("a", self.a)
+        if self.N is not None:
+            _check_integer("N", self.N, 1)
+
+    @classmethod
+    def parameters(cls) -> tuple[str, ...]:
+        return ("N", "theta", "d")
+
+    @classmethod
+    def build(cls, *, N: int, theta: float, d: int) -> InclusionSelfDuality:
+        """The d-type Moran model's self-duality."""
+        _check_positive("theta", theta)
+        _check_integer("d", d, 2)
+        return cls(a=2.0 * theta / (d - 1), N=N)
+
+    def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
+        n, d = p.discrete, len(p.discrete) // 2
+        if p.continuous or not n or len(n) % 2:
+            raise ValueError(f"{self.kind} needs 2d discrete slots (k then xi)")
+        k, xi = n[:d], n[d:]
+        if self.N is not None and sum(k) != self.N:
+            raise ValueError("type counts must sum to the population size")
+        out = []
+        for ki, xii in zip(k, xi):
+            if xii > ki:
+                return [(0.0, 1.0)]
+            # falling factorial k(k-1)...(k-xi+1)
+            out.extend((float(ki - j), 1.0) for j in range(xii))
+            out.append((_E, lgamma(self.a) - lgamma(self.a + xii)))
+        return out or [(1.0, 1.0)]
+
+    def matrix(self, index_rows, index_cols) -> np.ndarray:
+        """The matrix between two sectors (``processes.StateIndex``), rows k and columns xi.
+
+        With equal sectors it collapses to the diagonal duality attached to
+        the reversible product measure.
+        """
+        a = self.a
+        out = np.zeros((len(index_rows), len(index_cols)))
+        K = np.array(index_rows.states, dtype=float)
+        if K.shape[1] != len(index_cols.states[0]):
+            raise ValueError("sector dimensions differ")
+        # one column at a time, over all rows at once: the falling factorials
+        # multiply in the same order as the scalar product per entry
+        for j, xi in enumerate(index_cols.states):
+            val = np.ones(len(K))
+            for i, xii in enumerate(xi):
+                for step in range(xii):
+                    val *= K[:, i] - step
+                val *= exp(lgamma(a) - lgamma(a + xii))
+            out[:, j] = np.where((K >= xi).all(axis=1), val, 0.0)
+        return out
+
+
+_CATALOG: dict[str, type[_Duality]] = {
+    cls.kind: cls
+    for cls in (
+        Monomial,
+        MirrorMonomial,
+        Exponential,
+        HermiteWeighted,
+        HypergeometricFinite,
+        GammaWeighted,
+        ProductGamma,
+        InclusionSelfDuality,
+        LimitingSip,
+    )
+}
+KINDS = tuple(_CATALOG)
+
+
+def DualityFamily(kind: str, N: int | None = None, m: float | None = None, theta: float | None = None, d: int | None = None):
+    """The catalog object of ``kind``, built from the parameters its formula takes.
+
+    ``None`` counts as absent.  An unknown kind, a missing or stray
+    parameter, or an invalid value raises ``ValueError``.
+    """
+    try:
+        cls = _CATALOG[kind]
+    except KeyError:
+        raise ValueError(f"unknown duality kind {kind!r}") from None
+    given = {name: value for name, value in (("N", N), ("m", m), ("theta", theta), ("d", d)) if value is not None}
+    need = cls.parameters()
+    for name in need:
+        if name not in given:
+            raise ValueError(f"{kind} requires parameter {name}")
+    for name in given:
+        if name not in need:
+            raise ValueError(f"{kind} does not take parameter {name}")
+    return cls.build(**given)
+
+
+def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
     """Evaluate one duality function at a point of the product space.
 
     ``method`` is ``auto`` (direct unless a factor leaves the safe double
     range), ``direct``, or ``log``.
     """
-    factors = _factors(family, p)
+    factors = family.factors(p)
     if method not in ("auto", "direct", "log"):
         raise ValueError("method must be auto, direct or log")
     if method != "log":
@@ -263,7 +532,7 @@ def evaluate(family: DualityFamily, p: EvalPoint, *, method: str = "auto") -> fl
     return value
 
 
-def evaluate_at(family: DualityFamily, continuous: Sequence[float], discrete: Sequence[int]) -> float:
+def evaluate_at(family, continuous: Sequence[float], discrete: Sequence[int]) -> float:
     """Convenience wrapper building the :class:`EvalPoint` in place."""
     return evaluate(family, _point(continuous, discrete))
 

@@ -14,7 +14,10 @@ through an exact polynomial-coefficient representation.  Pointwise identities
 :func:`check_pointwise_duality`: a second-order side acts through its
 drift, covariance and potential on analytic partial derivatives of the
 duality function, and a jump side through its own rates, so no state
-space is enumerated or truncated.  The rational certification runs the
+space is enumerated or truncated.  The duality functions themselves, their
+values, partials and matrices, are the objects of
+:mod:`~duality_lab.dualities`; :func:`sip_self_duality_matrix` is the
+inclusion self-duality's matrix under its historical name.  The rational certification runs the
 models' rates and the algebra's builders with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
@@ -28,14 +31,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, log, prod, sqrt
+from math import comb, exp, lgamma, log, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from . import algebra, processes
+from . import algebra, dualities, processes
 from .algebra import ResidualReport, check_intertwiner
 from .processes import DiffusionModel, GeneratorMatrix, JumpModel
 
@@ -47,9 +50,6 @@ __all__ = [
     "check_generator_duality",
     "check_pointwise_duality",
     "Operator1D",
-    "monomial_duality",
-    "mirror_monomial_duality",
-    "exp_xy_duality",
     "moran_block_counting",
     "moran_kingman_residual_exact",
     "moran_ladder_product_exact",
@@ -334,63 +334,7 @@ class Operator1D:
     gamma: Callable[[float], float] | None = None
 
 
-@dataclass(frozen=True)
-class PointwiseDuality:
-    """Duality function with optional analytic partial derivatives.
-
-    Each slot variable is a tuple of coordinates: a point of a diffusion's
-    domain (floats) or a jump chain's state (integers); a one-dimensional
-    slot is a 1-tuple.  ``value(u, w)`` takes the left-slot point ``u`` and
-    the right-slot point ``w``.  ``u_partial(u, w, *coords)`` is the
-    derivative in the listed coordinates of ``u`` (``coords = (0, 0)`` is
-    the second derivative of a 1-d slot), ``w_partial`` the same in ``w``.
-    A slot acted on by a second-order operator needs its partial.
-    """
-
-    value: Callable
-    u_partial: Callable | None = None
-    w_partial: Callable | None = None
-
-
-def _mono(x: Sequence[float], n: Sequence[int]) -> float:
-    out = 1.0
-    for xi, ni in zip(x, n):
-        out *= xi**ni
-    return out
-
-
-def _mono_partial(x: Sequence[float], n: Sequence[int], *coords: int) -> float:
-    """The derivative of ``prod x_i^{n_i}`` in the listed coordinates."""
-    powers, coef = list(n), 1
-    for i in coords:
-        coef *= powers[i]
-        powers[i] -= 1
-    return coef * _mono(x, powers) if coef else 0.0
-
-
-def monomial_duality() -> PointwiseDuality:
-    """``prod x_i^{n_i}``, the moment duality of the diffusions with their block-counting chains."""
-    return PointwiseDuality(value=_mono, u_partial=_mono_partial)
-
-
-def mirror_monomial_duality() -> PointwiseDuality:
-    """``prod (1 - x_i)^{n_i}``, the duality function of the positive-selection diffusion."""
-    flip = lambda x: tuple(1.0 - xi for xi in x)
-    # each derivative in x brings out a factor -1
-    return PointwiseDuality(
-        value=lambda x, n: _mono(flip(x), n),
-        u_partial=lambda x, n, *coords: (-1) ** len(coords) * _mono_partial(flip(x), n, *coords),
-    )
-
-
-def exp_xy_duality() -> PointwiseDuality:
-    """``exp(x . y)``; each derivative in a coordinate of one slot brings out that coordinate of the other."""
-    value = lambda x, y: exp(sum(xi * yi for xi, yi in zip(x, y)))
-    u_partial = lambda x, y, *coords: prod((y[i] for i in coords), start=1.0) * value(x, y)
-    return PointwiseDuality(value, u_partial, lambda x, y, *coords: u_partial(y, x, *coords))
-
-
-def _side_at(side, grid: Sequence, slot: str, D: PointwiseDuality) -> tuple[list[tuple], list]:
+def _side_at(side, grid: Sequence, slot: str, D) -> tuple[list[tuple], list]:
     """The grid as tuples of coordinates, and the side at each point: a jump
     model's transitions (a list), or a second-order side's ``(b, a, gamma)``
     with the nonzero covariance entries listed as ``(i, j, a_ij)``."""
@@ -403,7 +347,7 @@ def _side_at(side, grid: Sequence, slot: str, D: PointwiseDuality) -> tuple[list
         if slot != "right":
             raise ValueError(f"{side.kind} is a jump model: jump models act on the right slot, so pass it as right")
         return points, [list(side.rates(w)) for w in points]
-    if (D.u_partial if slot == "left" else D.w_partial) is None:
+    if getattr(D, "u_partial" if slot == "left" else "w_partial", None) is None:
         raise ValueError(f"the duality function lacks the {slot}-slot derivatives")
     if isinstance(side, Operator1D):
         b = [[side.beta(x)] for (x,) in points]
@@ -422,7 +366,7 @@ def _side_at(side, grid: Sequence, slot: str, D: PointwiseDuality) -> tuple[list
     ]
 
 
-def _apply_side(op, D: PointwiseDuality, u: tuple, w: tuple, slot: str) -> float:
+def _apply_side(op, D, u: tuple, w: tuple, slot: str) -> float:
     """Apply one side's operator, prepared at this grid point, to the duality function at (u, w)."""
     if isinstance(op, list):
         base = D.value(u, w)
@@ -440,7 +384,7 @@ def _apply_side(op, D: PointwiseDuality, u: tuple, w: tuple, slot: str) -> float
 def check_pointwise_duality(
     left,
     right,
-    duality: PointwiseDuality,
+    duality,
     left_grid: Sequence[float],
     right_grid: Sequence,
     *,
@@ -448,8 +392,15 @@ def check_pointwise_duality(
 ) -> ResidualReport:
     """Max over a grid of |(K_l D)(u, w) - (K_r D)(u, w)|.
 
-    ``left`` acts on the first slot: an :class:`Operator1D` or a diffusion
-    model of any dimension.  ``right`` acts on the second slot: either of
+    ``duality`` is any object with ``value(u, w)`` and, for a slot acted
+    on by a second-order side, ``u_partial(u, w, *coords)`` or
+    ``w_partial``: the derivative in the listed coordinates of that slot
+    (``coords = (0, 0)`` is the second derivative of a 1-d slot).  The
+    catalog's :class:`~duality_lab.dualities.Monomial`,
+    :class:`~duality_lab.dualities.MirrorMonomial` and
+    :class:`~duality_lab.dualities.Exponential` have them.  ``left`` acts
+    on the first slot: an :class:`Operator1D` or a diffusion model of any
+    dimension.  ``right`` acts on the second slot: either of
     those, or a :class:`~duality_lab.processes.JumpModel`.  A grid point is
     a number or a sequence of coordinates; a jump side's grid lists states.
 
@@ -515,24 +466,10 @@ def sip_self_duality_matrix(
     """Self-duality matrix of the inclusion process between two sectors.
 
     Entry (k, xi) = prod_i k_i!/(k_i - xi_i)! * Gamma(m/2)/Gamma(m/2 + xi_i),
-    zero unless xi <= k componentwise.  With equal sectors this collapses to
-    the diagonal duality attached to the reversible product measure.
+    zero unless xi <= k componentwise: the catalog's
+    :class:`~duality_lab.dualities.InclusionSelfDuality` at ``a = m/2``.
     """
-    a = m / 2.0
-    out = np.zeros((len(index_rows), len(index_cols)))
-    K = np.array(index_rows.states, dtype=float)
-    if K.shape[1] != len(index_cols.states[0]):
-        raise ValueError("sector dimensions differ")
-    # one column at a time, over all rows at once: the falling factorials
-    # multiply in the same order as the scalar product per entry
-    for j, xi in enumerate(index_cols.states):
-        val = np.ones(len(K))
-        for i, xii in enumerate(xi):
-            for step in range(xii):
-                val *= K[:, i] - step
-            val *= exp(lgamma(a) - lgamma(a + xii))
-        out[:, j] = np.where((K >= xi).all(axis=1), val, 0.0)
-    return out
+    return dualities.InclusionSelfDuality(a=m / 2.0).matrix(index_rows, index_cols)
 
 
 # ---------------------------------------------------------------------------

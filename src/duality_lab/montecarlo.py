@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dualities, processes
-from .dualities import DualityFamily, EvalPoint
+from .dualities import EvalPoint
 from .processes import DiffusionModel, JumpModel
 
 __all__ = [
@@ -96,17 +96,13 @@ def _mean_se(values: Sequence[float]) -> SideEstimate:
     return SideEstimate(mean=mean, se=se, n=n)
 
 
-# families that read the implicit last type of the d-type states (spec.lift)
-_LIFTED_FAMILIES = ("product-gamma", "limiting-sip", "moran-self-dual", "monomial")
-
-
 def _occupied(v: Sequence[int]) -> int:
     return sum(1 for x in v if x >= 1)
 
 
 def estimate_duality_side(
     spec: DiffusionModel | JumpModel,
-    family: DualityFamily,
+    family,
     start,
     frozen,
     t: float,
@@ -116,32 +112,37 @@ def estimate_duality_side(
 ) -> SideEstimate:
     """Sample mean and standard error of D(X_t, frozen) over seeded paths.
 
-    ``endpoint_slot`` resolves the argument order for families whose two
-    slots have the same type ("first" puts the simulated endpoint in the
-    duality function's first slot).
+    ``family`` is a catalog object of :mod:`~duality_lab.dualities`.  The
+    simulated endpoint fills the slot of its type (continuous for a
+    diffusion, discrete for a jump process) and ``frozen`` the other;
+    ``endpoint_slot`` resolves the order for families whose two slots have
+    the same type ("first" puts the endpoint in the first slot).  A family
+    that reads the lifted d-type state gets each endpoint with its implicit
+    last type written out (``spec.lift``).  Both slots must then have the
+    same number of coordinates.
 
     Along a diffusion, ``processes.diffusion_endpoints`` simulates every
-    path first; the endpoints are lifted to the simplex in one array
-    expression (``spec.lift``), and the loop over paths is one
-    ``dualities.evaluate`` call per row.  ``frozen`` is converted once per
-    call, on both sides.
+    path first; the endpoints are lifted in one array expression, and the
+    loop over paths is one ``dualities.evaluate`` call per row.  ``frozen``
+    is converted once per call, on both sides.
 
     Along a jump process, ``processes.sample_jump`` draws every path's
     endpoint in one call, from the streams of ``processes.path_rng``; the
     evaluation point of each distinct endpoint is built once, and
     ``dualities.evaluate`` still runs once per path.
 
-    For the limiting occupancy duality evaluated along a jump process, the
-    estimator multiplies by the indicator that the number of occupied sites
-    is conserved; that is the only contribution surviving the vanishing-
-    mutation limit when every site starts occupied, and starting
-    configurations with an empty site are rejected.
+    For a family with the occupancy indicator (the limiting occupancy
+    duality) evaluated along a jump process, the estimator multiplies by
+    the indicator that the number of occupied sites is conserved; that is
+    the only contribution surviving the vanishing-mutation limit when every
+    site starts occupied, and starting configurations with an empty site
+    are rejected.
     """
     if endpoint_slot not in ("first", "second"):
         raise ValueError("endpoint_slot must be 'first' or 'second'")
     if cfg.t != t:
         cfg = EstimatorConfig(cfg.n_paths, cfg.seed, cfg.dt, t, cfg.antithetic)
-    lift = family.kind in _LIFTED_FAMILIES
+    lift = family.lifted
 
     if isinstance(spec, DiffusionModel):
         if t == 0:
@@ -152,31 +153,33 @@ def estimate_duality_side(
             )
         if lift:
             endpoints = spec.lift(endpoints)
-        point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=True)
+        point = _point_maker(family, frozen, endpoint_slot, float, endpoints.shape[1])
         values = [dualities.evaluate(family, point(tuple(row.tolist()))) for row in endpoints]
         if t == 0:
             return SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
         return _mean_se(values)
 
     if not isinstance(spec, JumpModel):
-        raise ValueError(f"{spec.kind} is neither a diffusion nor a jump process")
-    limiting_jump = family.kind == "limiting-sip"
+        raise TypeError(
+            f"spec must be a DiffusionModel or a JumpModel, not {type(spec).__name__}; "
+            "for a generator matrix pass the JumpModel itself"
+        )
+    occupancy = family.occupancy
     start_t = tuple(int(v) for v in np.atleast_1d(start))
-    if limiting_jump:
-        full0 = spec.lift(start_t) if lift else start_t
-        if _occupied(full0) != len(full0):
-            raise ValueError(
-                "limiting-sip estimation requires every site occupied at the start; "
-                f"got {full0} with an empty site"
-            )
-    point = _point_maker(family, frozen, endpoint_slot, continuous_endpoint=False)
+    full0 = spec.lift(start_t) if lift else start_t
+    if occupancy and _occupied(full0) != len(full0):
+        raise ValueError(
+            f"{family.kind} estimation requires every site occupied at the start; "
+            f"got {full0} with an empty site"
+        )
+    point = _point_maker(family, frozen, endpoint_slot, int, len(full0))
     rngs = (processes.path_rng(cfg.seed, i) for i in range(cfg.n_paths))
     endpoints = processes.sample_jump(spec, start_t, t, rngs)
     # each distinct endpoint's point, and whether it lost an occupied site
     points = {}
     for endpoint in set(endpoints):
         disc = spec.lift(endpoint) if lift else endpoint
-        points[endpoint] = (point(disc), limiting_jump and _occupied(disc) != len(disc))
+        points[endpoint] = (point(disc), occupancy and _occupied(disc) != len(disc))
     values = []
     for endpoint in endpoints:
         p, lost = points[endpoint]
@@ -185,24 +188,35 @@ def estimate_duality_side(
     return _mean_se(values)
 
 
-def _point_maker(family, frozen, endpoint_slot, *, continuous_endpoint: bool):
-    """The map from an endpoint tuple to the evaluation point, with ``frozen`` converted once."""
-    frozen_t = tuple(np.atleast_1d(frozen))
-    if family.kind == "exponential":
-        y = float(frozen_t[0])
-        if endpoint_slot == "first":
-            return lambda e: EvalPoint(continuous=(e[0], y))
-        return lambda e: EvalPoint(continuous=(y, e[0]))
-    if continuous_endpoint:
-        disc = tuple(int(v) for v in frozen_t)
-        return lambda e: EvalPoint(continuous=e, discrete=disc)
-    if family.kind in ("hypergeometric-finite", "moran-self-dual"):
-        other = tuple(int(v) for v in frozen_t)
-        if endpoint_slot == "first":
-            return lambda e: EvalPoint(discrete=tuple(int(v) for v in e) + other)
-        return lambda e: EvalPoint(discrete=other + tuple(int(v) for v in e))
-    cont = tuple(float(v) for v in frozen_t)
-    return lambda e: EvalPoint(continuous=cont, discrete=tuple(int(v) for v in e))
+def _point_maker(family, frozen, endpoint_slot: str, endpoint_type: type, size: int):
+    """The map from an endpoint tuple to the evaluation point, with ``frozen`` converted once.
+
+    ``endpoint_type`` is ``float`` for a diffusion's endpoints and ``int``
+    for a jump process's, ``size`` their number of coordinates; endpoints
+    arrive as tuples of that type.
+    """
+    slots = family.slots
+    if slots[0] is slots[1]:
+        at = 0 if endpoint_slot == "first" else 1
+    else:
+        at = slots.index(endpoint_type)
+    if slots[at] is not endpoint_type:
+        source = "diffusion" if endpoint_type is float else "jump process"
+        raise ValueError(f"{family.kind} has no slot of the type of a {source} endpoint")
+    other = tuple(slots[1 - at](v) for v in np.atleast_1d(frozen))
+    if len(other) != size:
+        raise ValueError(
+            f"{family.kind} needs slots of one size: the endpoint has {size} coordinates, "
+            f"the frozen argument {len(other)}"
+        )
+    if slots[0] is not slots[1]:
+        if endpoint_type is float:
+            return lambda e: EvalPoint(continuous=e, discrete=other)
+        return lambda e: EvalPoint(continuous=other, discrete=e)
+    # slots of one type are concatenated in slot order
+    if endpoint_type is float:
+        return (lambda e: EvalPoint(continuous=e + other)) if at == 0 else (lambda e: EvalPoint(continuous=other + e))
+    return (lambda e: EvalPoint(discrete=e + other)) if at == 0 else (lambda e: EvalPoint(discrete=other + e))
 
 
 def compare(

@@ -54,7 +54,6 @@ __all__ = [
     "enumerate_states",
     "generator_matrix",
     "rational_generator",
-    "drift_diffusion",
     "sample_jump",
     "diffusion_endpoints",
     "path_rng",
@@ -683,18 +682,6 @@ def _diffusion_model(spec) -> DiffusionModel:
     if not isinstance(spec, DiffusionModel):
         raise ValueError(f"{spec.kind} is not a diffusion")
     return spec
-
-
-def drift_diffusion(spec: DiffusionModel, x: Sequence[float] | float) -> tuple[np.ndarray, np.ndarray]:
-    """Drift vector b and covariance matrix a at a state.
-
-    The one-row case of ``spec.coefficients``.  The generator is
-    ``(1/2) sum a_ij d_i d_j + sum b_i d_i``; for the one-dimensional family
-    written as ``alpha(x) d^2/dx^2 + beta(x) d/dx`` this means ``a = 2 alpha``
-    and ``b = beta``.
-    """
-    b, a = _checked_coefficients(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
-    return b[0], a[0]
 
 
 def _checked_coefficients(spec: DiffusionModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -101,13 +101,13 @@ def test_criterion_04_pointwise_generator_dualities():
         ),
     ]
     for left, right in cases:
-        rep = exact.check_pointwise_duality(left, right, exact.monomial_duality(), xs, degrees)
+        rep = exact.check_pointwise_duality(left, right, dualities.Monomial(), xs, degrees)
         worst = max(worst, rep.max_abs_residual)
     grid = (-1.0, 0.0, 1.0)
     rep = exact.check_pointwise_duality(
         exact.Operator1D(alpha=lambda x: 0.5, beta=lambda x: 0.0),
         exact.Operator1D(alpha=lambda y: 0.0, beta=lambda y: 0.0, gamma=lambda y: 0.5 * y * y),
-        exact.exp_xy_duality(),
+        dualities.Exponential(),
         grid,
         grid,
     )
@@ -117,7 +117,7 @@ def test_criterion_04_pointwise_generator_dualities():
     rep = exact.check_pointwise_duality(
         exact.Operator1D(alpha=lambda x: c1 * x * x + c2 * x, beta=lambda x: c3 * x),
         exact.Operator1D(alpha=lambda y: c1 * y * y, beta=lambda y: c2 * y * y + c3 * y),
-        exact.exp_xy_duality(),
+        dualities.Exponential(),
         hgrid,
         hgrid,
     )
@@ -206,7 +206,7 @@ def test_criterion_08a_product_closed_form_two_types():
 
 def _product_decay_rate(spec: processes.DiffusionModel, y: np.ndarray) -> float:
     """-L f / f for f = prod(y), with L = (1/2) sum a_ij d_i d_j + b . grad."""
-    b, a = processes.drift_diffusion(spec, y)
+    (b,), (a,) = processes._checked_coefficients(spec, y[None, :])
     d = len(y)
     grad = np.array([np.prod(np.delete(y, i)) for i in range(d)])
     hess = np.array(
@@ -307,8 +307,8 @@ def test_criterion_10_property_suite():
         perm = [full.index.pos[k + (N - sum(k),)] for k in red.index.states]
         ident = max(ident, float(np.abs(full.Q[np.ix_(perm, perm)] - red.Q).max()))
         x = rng.dirichlet(np.ones(d))
-        b_full, a_full = processes.drift_diffusion(processes.bep(d, m), x)
-        b_red, a_red = processes.drift_diffusion(processes.wf_multitype(d, theta), x[: d - 1])
+        (b_full,), (a_full,) = processes._checked_coefficients(processes.bep(d, m), x[None, :])
+        (b_red,), (a_red,) = processes._checked_coefficients(processes.wf_multitype(d, theta), x[None, : d - 1])
         ident = max(ident, float(np.abs(a_full[: d - 1, : d - 1] - a_red).max()))
         ident = max(ident, float(np.abs(b_full[: d - 1] - b_red).max()))
     elapsed = time.perf_counter() - start

@@ -88,7 +88,7 @@ class TestEvaluate:
         fam = DualityFamily("moran-self-dual", N=4, theta=0.5, d=2)
         assert evaluate_at(fam, (), (1, 3, 2, 2)) == 0.0
         val = evaluate_at(fam, (), (2, 2, 1, 1))
-        a = fam.gamma_shift
+        a = fam.a
         want = 2 * exp(lgamma(a) - lgamma(1 + a)) * 2 * exp(lgamma(a) - lgamma(1 + a))
         assert val == pytest.approx(want)
 

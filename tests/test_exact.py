@@ -9,15 +9,13 @@ import pytest
 import scipy.linalg
 
 from duality_lab import algebra, exact, processes
+from duality_lab.dualities import Exponential, MirrorMonomial, Monomial
 from duality_lab.exact import (
     Operator1D,
     check_generator_duality,
     check_pointwise_duality,
     exact_expectation,
-    exp_xy_duality,
     matrix_exponential_apply,
-    mirror_monomial_duality,
-    monomial_duality,
     moran_kingman_residual_exact,
     moran_ladder_product_exact,
     reproduce_example,
@@ -414,35 +412,35 @@ class TestPointwiseDuality:
     def test_neutral_wf_vs_block_counting(self):
         left = processes.wf_general_1d({1: 1.0, 2: -1.0})
         chain = processes.kingman_block(n_max=10)
-        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
+        rep = check_pointwise_duality(left, chain, Monomial(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_mutation_wf_vs_block_counting_with_mutation(self):
         theta = 0.7
         left = processes.wf_general_1d({1: 1.0, 2: -1.0}, {0: theta, 1: -theta})
         chain = processes.kingman_block(theta=theta, n_max=10)
-        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
+        rep = check_pointwise_duality(left, chain, Monomial(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_negative_selection_vs_birth_death_dual(self):
         sigma = 0.4
         left = processes.wf_general_1d({1: 1.0, 2: -1.0}, {1: -sigma, 2: sigma})
         chain = processes.kingman_block(sigma=sigma, n_max=10)
-        rep = check_pointwise_duality(left, chain, monomial_duality(), self.xs, self.degrees)
+        rep = check_pointwise_duality(left, chain, Monomial(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_positive_selection_uses_mirror_powers(self):
         sigma = 0.4
         left = Operator1D(alpha=lambda x: x * (1 - x), beta=lambda x: sigma * x * (1 - x))
         chain = processes.kingman_block(sigma=sigma, n_max=10)
-        rep = check_pointwise_duality(left, chain, mirror_monomial_duality(), self.xs, self.degrees)
+        rep = check_pointwise_duality(left, chain, MirrorMonomial(), self.xs, self.degrees)
         assert rep.max_abs_residual <= 1e-9
 
     def test_half_laplacian_vs_quadratic_multiplication(self):
         left = Operator1D(alpha=lambda x: 0.5, beta=lambda x: 0.0)
         right = Operator1D(alpha=lambda y: 0.0, beta=lambda y: 0.0, gamma=lambda y: 0.5 * y * y)
         grid = (-1.0, 0.0, 1.0)
-        rep = check_pointwise_duality(left, right, exp_xy_duality(), grid, grid)
+        rep = check_pointwise_duality(left, right, Exponential(), grid, grid)
         assert rep.max_abs_residual <= 1e-9
 
     def test_half_line_pair_and_self_dual_case(self):
@@ -450,23 +448,25 @@ class TestPointwiseDuality:
         grid = (0.0, 0.5, 1.5)
         left = Operator1D(alpha=lambda x: c1 * x * x + c2 * x, beta=lambda x: c3 * x)
         right = Operator1D(alpha=lambda y: c1 * y * y, beta=lambda y: c2 * y * y + c3 * y)
-        rep = check_pointwise_duality(left, right, exp_xy_duality(), grid, grid)
+        rep = check_pointwise_duality(left, right, Exponential(), grid, grid)
         assert rep.max_abs_residual <= 1e-9
         selfd = Operator1D(alpha=lambda x: c1 * x * x, beta=lambda x: c3 * x)
-        rep = check_pointwise_duality(selfd, selfd, exp_xy_duality(), grid, grid)
+        rep = check_pointwise_duality(selfd, selfd, Exponential(), grid, grid)
         assert rep.max_abs_residual <= 1e-9
 
     def test_missing_derivative_is_rejected(self):
-        from duality_lab.exact import PointwiseDuality
+        class ValueOnly:
+            def value(self, x, y):
+                return exp(x[0] * y[0])
 
         left = Operator1D(alpha=lambda x: 0.5, beta=lambda x: 0.0)
         right = Operator1D(alpha=lambda y: 0.0, beta=lambda y: 0.0, gamma=lambda y: 0.5 * y * y)
-        value_only = PointwiseDuality(value=lambda x, y: exp(x * y))
+        value_only = ValueOnly()
         with pytest.raises(ValueError, match="left-slot derivatives"):
             check_pointwise_duality(left, right, value_only, (0.3, 0.9), (0.2, 1.1))
         # the monomial duality carries only its left-slot derivatives
         with pytest.raises(ValueError, match="right-slot derivatives"):
-            check_pointwise_duality(left, right, monomial_duality(), (0.3, 0.9), (0.2, 1.1))
+            check_pointwise_duality(left, right, Monomial(), (0.3, 0.9), (0.2, 1.1))
 
     def test_stepping_stone_both_kernel_shapes(self):
         for kern in (
@@ -476,7 +476,7 @@ class TestPointwiseDuality:
             resid = check_pointwise_duality(
                 processes.stepping_stone_forward(kern),
                 processes.stepping_stone_dual(kern),
-                monomial_duality(),
+                Monomial(),
                 ((0.2, 0.5, 0.8), (0.4, 0.1, 0.9)),
                 ((1, 0, 2), (2, 1, 1), (3, 2, 0)),
             ).max_abs_residual
@@ -557,7 +557,7 @@ class TestPointwiseEngine:
         rep = check_pointwise_duality(
             processes.stepping_stone_forward(kern),
             processes.stepping_stone_dual(kern),
-            monomial_duality(),
+            Monomial(),
             self.X_POINTS,
             self.N_POINTS,
         )
@@ -574,13 +574,13 @@ class TestPointwiseEngine:
             rep = check_pointwise_duality(
                 processes.stepping_stone_forward(kern),
                 processes.stepping_stone_dual(kern),
-                monomial_duality(),
+                Monomial(),
                 x_points,
                 n_points,
             )
             assert rep.max_abs_residual == _reference_stepping_stone_residual(kern, x_points, n_points)
 
-    @pytest.mark.parametrize("D", [monomial_duality(), mirror_monomial_duality()], ids=["monomial", "mirror"])
+    @pytest.mark.parametrize("D", [Monomial(), MirrorMonomial()], ids=["monomial", "mirror"])
     def test_power_partials_match_central_differences_1d(self, D):
         for x in (0.2, 0.55, 0.9):
             for n in range(6):
@@ -588,18 +588,18 @@ class TestPointwiseEngine:
 
     def test_monomial_partials_match_central_differences_3_sites(self):
         for n in ((0, 0, 0), (2, 1, 3), (1, 0, 2), (0, 3, 1)):
-            _assert_partials_match(monomial_duality(), (0.3, 0.6, 0.8), n, "left")
+            _assert_partials_match(Monomial(), (0.3, 0.6, 0.8), n, "left")
 
     @pytest.mark.parametrize("slot", ["left", "right"])
     def test_exp_xy_partials_match_central_differences(self, slot):
         for x in (-1.0, 0.5, 1.5):
             for y in (-0.7, 0.0, 1.2):
-                _assert_partials_match(exp_xy_duality(), (x,), (y,), slot)
+                _assert_partials_match(Exponential(), (x,), (y,), slot)
 
     def test_jump_model_on_the_left_is_rejected(self):
         neutral = processes.wf_general_1d({1: 1.0, 2: -1.0})
         with pytest.raises(ValueError, match="pass it as right"):
-            check_pointwise_duality(processes.kingman_block(), neutral, monomial_duality(), (1, 2), (0.3,))
+            check_pointwise_duality(processes.kingman_block(), neutral, Monomial(), (1, 2), (0.3,))
 
     @pytest.mark.parametrize("slot", ["left", "right"])
     def test_generator_matrix_is_rejected(self, slot):
@@ -607,7 +607,7 @@ class TestPointwiseEngine:
         gen = processes.generator_matrix(processes.kingman_block(n_max=5))
         sides = (gen, neutral) if slot == "left" else (neutral, gen)
         with pytest.raises(TypeError, match="pass the JumpModel itself"):
-            check_pointwise_duality(*sides, monomial_duality(), (0.3,), (1, 2))
+            check_pointwise_duality(*sides, Monomial(), (0.3,), (1, 2))
 
 
 class TestReproduceExamples:

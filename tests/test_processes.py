@@ -17,7 +17,6 @@ from duality_lab import algebra, processes
 from duality_lab.processes import (
     bep,
     diffusion_endpoints,
-    drift_diffusion,
     enumerate_states,
     generator_matrix,
     kingman_block,
@@ -180,8 +179,8 @@ class TestIdentificationLemmas:
         rng = np.random.default_rng(17)
         for _ in range(100):
             x = rng.dirichlet(np.ones(d))
-            b_full, a_full = drift_diffusion(bep(d, m), x)
-            b_red, a_red = drift_diffusion(wf_multitype(d, theta), x[:-1])
+            b_full, a_full = _one_state(bep(d, m), x)
+            b_red, a_red = _one_state(wf_multitype(d, theta), x[:-1])
             assert np.abs(a_full[: d - 1, : d - 1] - a_red).max() <= 1e-12
             assert np.abs(b_full[: d - 1] - b_red).max() <= 1e-12
 
@@ -205,39 +204,45 @@ class TestIdentificationLemmas:
         assert np.abs(L[np.ix_(sel, sel)] - gen.Q).max() <= 1e-12
 
 
+def _one_state(spec, x):
+    """Drift and covariance at one state, through the checked batch coefficients."""
+    (b,), (a,) = processes._checked_coefficients(spec, np.atleast_2d(np.asarray(x, dtype=float)))
+    return b, a
+
+
 class TestDriftDiffusion:
     def test_wf_two_types_neutral(self):
-        b, a = drift_diffusion(wf_multitype(2, 0.0), (0.3,))
+        b, a = _one_state(wf_multitype(2, 0.0), (0.3,))
         assert a[0, 0] == pytest.approx(0.21)
         assert b[0] == 0.0
 
     def test_wf_mutation_drift(self):
         theta, d = 0.9, 3
         x = (0.2, 0.3)
-        b, _ = drift_diffusion(wf_multitype(d, theta), x)
+        b, _ = _one_state(wf_multitype(d, theta), x)
         want = (theta / (d - 1)) * (1.0 - d * np.asarray(x))
         assert np.allclose(b, want)
 
     def test_neutral_boundary_is_absorbing(self):
         spec = wf_general_1d({1: 1.0, 2: -1.0})
         for x in (0.0, 1.0):
-            b, a = drift_diffusion(spec, x)
+            b, a = _one_state(spec, x)
             assert a[0, 0] == pytest.approx(0.0)
             assert b[0] == pytest.approx(0.0)
 
     def test_general_1d_doubles_alpha(self):
         spec = wf_general_1d({1: 1.0, 2: -1.0}, {0: 0.5, 1: -0.5})
-        b, a = drift_diffusion(spec, 0.25)
+        b, a = _one_state(spec, 0.25)
         assert a[0, 0] == pytest.approx(2 * (0.25 - 0.0625))
         assert b[0] == pytest.approx(0.5 * 0.75)
 
     def test_rejects_non_psd_state(self):
         with pytest.raises(ValueError):
-            drift_diffusion(wf_multitype(2, 0.0), (1.5,))
+            _one_state(wf_multitype(2, 0.0), (1.5,))
 
     def test_stepping_stone_coefficients(self):
         kern = ((0.0, 1.0), (1.0, 0.0))
-        b, a = drift_diffusion(stepping_stone_forward(kern), (0.25, 0.75))
+        b, a = _one_state(stepping_stone_forward(kern), (0.25, 0.75))
         assert np.allclose(np.diag(a), [2 * 0.25 * 0.75] * 2)
         assert b[0] == pytest.approx(2 * (0.75 - 0.25))
         assert b[1] == pytest.approx(2 * (0.25 - 0.75))
