@@ -145,15 +145,15 @@ def estimate_duality_side(
     lift = family.lifted
 
     if isinstance(spec, DiffusionModel):
-        if t == 0:
-            endpoints = spec.start(start)[None, :]
-        else:
+        endpoints = spec.start(start)[None, :]
+        size = (spec.lift(endpoints) if lift else endpoints).shape[1]
+        point = _point_maker(family, frozen, endpoint_slot, float, size)
+        if t > 0:
             endpoints = processes.diffusion_endpoints(
                 spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic
             )
         if lift:
             endpoints = spec.lift(endpoints)
-        point = _point_maker(family, frozen, endpoint_slot, float, endpoints.shape[1])
         values = [dualities.evaluate(family, point(tuple(row.tolist()))) for row in endpoints]
         if t == 0:
             return SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)

@@ -1,6 +1,7 @@
 """Duality-function catalog: values, stability, cheap self-duality."""
 
 from math import comb, exp, lgamma
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from duality_lab import algebra, processes
+from duality_lab import algebra, exact, processes
 from duality_lab.dualities import (
+    KINDS,
     DualityFamily,
     EvalPoint,
+    GammaWeighted,
+    InclusionSelfDuality,
     cheap_self_duality,
     evaluate,
     evaluate_at,
@@ -32,6 +36,41 @@ class TestFamilyValidation:
             DualityFamily("monomial", N=3)  # stray parameter
         with pytest.raises(ValueError):
             DualityFamily("no-such-kind")
+
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("hypergeometric-finite", {"N": 4.5}, "N"),
+            ("hypergeometric-finite", {"N": 4.0}, "N"),
+            ("hypergeometric-finite", {"N": True}, "N"),
+            ("moran-self-dual", {"N": 4.5, "theta": 0.5, "d": 2}, "N"),
+            ("moran-self-dual", {"N": 4, "theta": 0.5, "d": 2.5}, "d"),
+            ("moran-self-dual", {"N": 4, "theta": float("nan"), "d": 2}, "theta"),
+            ("product-gamma", {"theta": 0.5, "d": True}, "d"),
+            ("product-gamma", {"theta": 0.5, "d": 3.0}, "d"),
+            ("product-gamma", {"theta": float("inf"), "d": 2}, "theta"),
+            ("product-gamma", {"theta": float("nan"), "d": 2}, "theta"),
+            ("gamma-weighted", {"m": float("nan")}, "m"),
+            ("gamma-weighted", {"m": float("inf")}, "m"),
+            ("gamma-weighted", {"m": True}, "m"),
+        ],
+    )
+    def test_rejects_non_integer_and_non_finite_parameters(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            DualityFamily(kind, **params)
+
+    def test_classes_validate_without_the_factory(self):
+        with pytest.raises(ValueError, match="^m must be"):
+            GammaWeighted(m=float("nan"))
+        with pytest.raises(ValueError, match="^a must be"):
+            InclusionSelfDuality(a=0.0)
+        with pytest.raises(ValueError, match="^N must be"):
+            InclusionSelfDuality(a=1.0, N=2.5)
+
+    def test_numpy_integers_and_integral_reals_are_accepted(self):
+        assert DualityFamily("hypergeometric-finite", N=np.int64(4)).N == 4
+        assert DualityFamily("gamma-weighted", m=3).m == 3
+        assert DualityFamily("product-gamma", theta=np.float64(0.5), d=np.int32(3)).d == 3
 
 
 class TestEvaluate:
@@ -68,6 +107,13 @@ class TestEvaluate:
         x = 0.7
         assert evaluate_at(fam, (x,), (0,)) == pytest.approx(exp(-x * x / 2))
         assert evaluate_at(fam, (x,), (1,)) == pytest.approx(2 * x * exp(-x * x / 2))
+
+    def test_mirror_monomial_is_the_monomial_of_one_minus_x(self):
+        mirror, mono = DualityFamily("mirror-monomial"), DualityFamily("monomial")
+        for x, n in [((0.3,), (2,)), ((0.1, 0.8), (3, 1)), ((0.0, 1.0), (0, 4))]:
+            flipped = tuple(1.0 - v for v in x)
+            assert evaluate_at(mirror, x, n) == evaluate_at(mono, flipped, n)
+            assert mirror.value(x, n) == mono.value(flipped, n)
 
     def test_exponential_at_zero(self):
         fam = DualityFamily("exponential")
@@ -128,7 +174,9 @@ class TestBinomialMixture:
 class TestLogSpaceAgreement:
     @settings(max_examples=120, deadline=None)
     @given(
-        kind=st.sampled_from(["hypergeometric-finite", "gamma-weighted", "product-gamma", "limiting-sip", "monomial"]),
+        kind=st.sampled_from(
+            ["hypergeometric-finite", "gamma-weighted", "product-gamma", "limiting-sip", "monomial", "hermite-weighted"]
+        ),
         data=st.data(),
     )
     def test_log_matches_direct(self, kind, data):
@@ -156,6 +204,11 @@ class TestLogSpaceAgreement:
                 continuous=(data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 3.0))),
                 discrete=(data.draw(st.integers(0, 25)), data.draw(st.integers(0, 25))),
             )
+        elif kind == "hermite-weighted":
+            fam = DualityFamily(kind)
+            point = EvalPoint(
+                continuous=(data.draw(st.floats(-12.0, 12.0)),), discrete=(data.draw(st.integers(0, 40)),)
+            )
         else:
             fam = DualityFamily(kind)
             point = EvalPoint(
@@ -167,6 +220,15 @@ class TestLogSpaceAgreement:
             assert logged == 0.0
         elif np.isfinite(direct):
             assert logged == pytest.approx(direct, rel=1e-12)
+
+    def test_hermite_weighted_survives_an_underflowing_gaussian(self):
+        # exp(-800) underflows on its own; times H_100(40) ~ 4.1e189, here
+        # from numpy's Hermite series, the value is about 1.5e-158
+        H = np.polynomial.hermite.hermval(40.0, [0.0] * 100 + [1.0])
+        want = exp(np.log(H) - 800.0)
+        got = evaluate_at(DualityFamily("hermite-weighted"), (40.0,), (100,))
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(1.5128829632073366e-158, rel=1e-12)
 
     def test_log_path_survives_huge_powers(self):
         # a single power leaves the double range but the weighted value is
@@ -262,3 +324,172 @@ class TestHermiteValue:
         powers = x ** np.arange(9)
         for n in range(9):
             assert hermite_value(n, x) == pytest.approx(float(powers @ H[:, n]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the kind-string switch the catalog objects replaced, verbatim
+# ---------------------------------------------------------------------------
+
+_E = exp(1.0)
+_SIMPLEX_TOL = 1e-12
+
+
+def _reference_factors(family, p):
+    kind = family.kind
+    c, n = p.continuous, p.discrete
+    if kind == "monomial":
+        if len(c) != len(n) or not c:
+            raise ValueError("monomial needs matching continuous/discrete vectors")
+        return [(x, float(k)) for x, k in zip(c, n)]
+    if kind == "exponential":
+        if len(c) != 2 or n:
+            raise ValueError("exponential needs a continuous pair (x, y)")
+        return [(exp(c[0] * c[1]), 1.0)]
+    if kind == "hermite-weighted":
+        if len(c) != 1 or len(n) != 1:
+            raise ValueError("hermite-weighted needs one continuous and one discrete slot")
+        x = c[0]
+        return [(exp(-x * x / 2.0), 1.0), (hermite_value(n[0], x), 1.0)]
+    if kind == "hypergeometric-finite":
+        if c or len(n) != 2:
+            raise ValueError("hypergeometric-finite needs a discrete pair (k, n)")
+        k, deg = n
+        assert family.N is not None
+        if deg > family.N:
+            raise ValueError("degree exceeds the population size")
+        if k > family.N:
+            raise ValueError("count exceeds the population size")
+        if deg > k:
+            return [(0.0, 1.0)]
+        # C(k,deg)/C(N,deg) as a product of linear ratios
+        return [((k - j) / (family.N - j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
+    if kind == "gamma-weighted":
+        if len(c) != 1 or len(n) != 1:
+            raise ValueError("gamma-weighted needs one continuous and one discrete slot")
+        z, deg = c[0], n[0]
+        if z < 0:
+            raise ValueError("gamma-weighted needs z >= 0")
+        a = family.m / 2.0
+        # z^deg / ((a)(a+1)...(a+deg-1))
+        return [(z / (a + j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
+    if kind == "product-gamma":
+        d = family.d
+        if len(c) != d or len(n) != d:
+            raise ValueError("product-gamma needs d continuous and d discrete slots")
+        if abs(sum(c) - 1.0) > _SIMPLEX_TOL:
+            raise ValueError("product-gamma continuous coordinates must lie on the simplex")
+        a = family.gamma_shift
+        out: list[tuple[float, float]] = []
+        for x, k in zip(c, n):
+            if x < 0:
+                raise ValueError("simplex coordinates must be non-negative")
+            out.append((x, float(k)))
+            out.append((_E, -lgamma(a + k)))
+        return out
+    if kind == "moran-self-dual":
+        d = family.d
+        if c or len(n) != 2 * d:
+            raise ValueError("moran-self-dual needs 2d discrete slots (k then xi)")
+        k, xi = n[:d], n[d:]
+        if sum(k) != family.N:
+            raise ValueError("type counts must sum to the population size")
+        a = family.gamma_shift
+        out = []
+        for ki, xii in zip(k, xi):
+            if xii > ki:
+                return [(0.0, 1.0)]
+            # falling factorial k(k-1)...(k-xi+1)
+            out.extend((float(ki - j), 1.0) for j in range(xii))
+            out.append((_E, lgamma(a) - lgamma(a + xii)))
+        return out or [(1.0, 1.0)]
+    if kind == "limiting-sip":
+        if len(c) != len(n) or not c:
+            raise ValueError("limiting-sip needs matching occupancy and coordinate vectors")
+        out = []
+        for x, xi in zip(c, n):
+            if xi >= 1:
+                out.append((x, float(xi)))
+                out.append((_E, -lgamma(xi)))
+        return out or [(1.0, 1.0)]
+    raise ValueError(f"unknown duality kind {kind!r}")
+
+
+def _reference_family(kind, N=None, m=None, theta=None, d=None):
+    shift = None if theta is None else 2.0 * theta / (d - 1)
+    return SimpleNamespace(kind=kind, N=N, m=m, theta=theta, d=d, gamma_shift=shift)
+
+
+def _grid_case(kind, rng):
+    """Parameters and an evaluation point of ``kind``, drawn from ``rng``."""
+    if kind in ("monomial", "limiting-sip"):
+        size = int(rng.integers(1, 5))
+        return {}, EvalPoint(tuple(rng.uniform(-2.0, 3.0, size).tolist()), tuple(rng.integers(0, 7, size).tolist()))
+    if kind == "exponential":
+        return {}, EvalPoint(tuple(rng.uniform(-3.0, 3.0, 2).tolist()))
+    if kind == "hermite-weighted":
+        return {}, EvalPoint((float(rng.uniform(-30.0, 30.0)),), (int(rng.integers(0, 60)),))
+    if kind == "hypergeometric-finite":
+        N = int(rng.integers(1, 21))
+        return {"N": N}, EvalPoint((), tuple(rng.integers(0, N + 1, 2).tolist()))
+    if kind == "gamma-weighted":
+        return {"m": float(rng.uniform(0.1, 10.0))}, EvalPoint((float(rng.uniform(0.0, 5.0)),), (int(rng.integers(0, 12)),))
+    d = int(rng.integers(2, 5))
+    theta = float(rng.uniform(0.1, 4.0))
+    if kind == "product-gamma":
+        x = rng.dirichlet(np.ones(d))
+        return {"theta": theta, "d": d}, EvalPoint(tuple(x.tolist()), tuple(rng.integers(0, 9, d).tolist()))
+    N = int(rng.integers(1, 9))
+    k = rng.multinomial(N, np.ones(d) / d)
+    xi = rng.integers(0, 4, d)
+    return {"N": N, "theta": theta, "d": d}, EvalPoint((), tuple(k.tolist()) + tuple(xi.tolist()))
+
+
+class TestFactorsMatchTheKindSwitch:
+    """Every catalog object's factors equal the switch it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(set(KINDS) - {"mirror-monomial", "hermite-weighted"}))
+    def test_factor_lists_are_identical(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(300):
+            params, point = _grid_case(kind, rng)
+            want = _reference_factors(_reference_family(kind, **params), point)
+            got = DualityFamily(kind, **params).factors(point)
+            assert got == want, (kind, params, point)
+
+    def test_hermite_weighted_values_agree(self):
+        # the Gaussian factor moved from exp(-x^2/2) to (e, -x^2/2); with
+        # |x| <= 30 the old factor stays above 1e-196 and the values agree
+        rng = np.random.default_rng(11)
+        fam = DualityFamily("hermite-weighted")
+        for _ in range(300):
+            _, point = _grid_case("hermite-weighted", rng)
+            (gauss, _), (hermite, _) = _reference_factors(_reference_family("hermite-weighted"), point)
+            assert evaluate(fam, point) == pytest.approx(gauss * hermite, rel=1e-12, abs=0.0), point
+
+
+class TestMergedSelfDuality:
+    """One object, shift a: the inclusion process at a = m/2, the Moran model at a = 2 theta/(d-1)."""
+
+    def test_moran_self_duality_intertwines_the_two_population_sizes(self):
+        N, n, d, theta = 4, 2, 3, 0.7
+        fam = DualityFamily("moran-self-dual", N=N, theta=theta, d=d)
+        assert fam == InclusionSelfDuality(a=2.0 * theta / (d - 1), N=N)
+        K = processes.generator_matrix(processes.moran_multitype(N, d, theta))
+        Kh = processes.generator_matrix(processes.moran_multitype(n, d, theta))
+        lift = processes.moran_multitype(N, d, theta).lift
+        lift_n = processes.moran_multitype(n, d, theta).lift
+        D = np.array([[evaluate_at(fam, (), lift(k) + lift_n(xi)) for xi in Kh.index.states] for k in K.index.states])
+        assert np.count_nonzero(D) > len(K.index)
+        scale = float(np.abs(K.Q @ D).max())
+        rep = exact.check_generator_duality(K, Kh, D)
+        assert rep.max_abs_residual <= 1e-12 * scale
+
+    def test_matrix_agrees_with_factors_on_inclusion_sectors(self):
+        m = 1.4
+        fam = InclusionSelfDuality(a=m / 2.0)
+        rows, cols = processes.enumerate_states(3, 4), processes.enumerate_states(3, 2)
+        D = fam.matrix(rows, cols)
+        assert np.array_equal(D, exact.sip_self_duality_matrix(rows, cols, m))
+        for i, k in enumerate(rows.states):
+            for j, xi in enumerate(cols.states):
+                assert D[i, j] == pytest.approx(evaluate_at(fam, (), k + xi), rel=1e-12, abs=0.0)
