@@ -40,7 +40,6 @@ __all__ = [
     "check_intertwiner",
     "binomial_transform",
     "falling_factorial_matrix",
-    "hermite_coefficient_matrix",
     "HEISENBERG_FAMILIES",
     "SU11_FAMILIES",
     "FAMILIES",
@@ -318,7 +317,7 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
 
 
 # ---------------------------------------------------------------------------
-# falling-factorial and Hermite matrices, intertwiner checks
+# the falling-factorial matrix and intertwiner checks
 # ---------------------------------------------------------------------------
 
 
@@ -331,23 +330,6 @@ def falling_factorial_matrix(N: int, num: type = float):
         [[_ratio(comb(k, n), comb(N, n), num) if n <= k else num(0) for n in range(N + 1)] for k in range(N + 1)],
         num,
     )
-
-
-def hermite_coefficient_matrix(M: int) -> np.ndarray:
-    """Columns hold the monomial coefficients of the Hermite polynomials.
-
-    Physicists' convention, via H_{n+1} = 2 x H_n - 2 n H_{n-1} with H_0 = 1.
-    These are the polynomials produced by repeated application of the
-    gauged raising operator ``x - d/dx`` to the Gaussian weight.
-    """
-    out = np.zeros((M + 1, M + 1))
-    out[0, 0] = 1.0
-    if M >= 1:
-        out[1, 1] = 2.0
-    for n in range(1, M):
-        out[1:, n + 1] = 2.0 * out[:-1, n]
-        out[:, n + 1] -= 2.0 * n * out[:, n - 1]
-    return out
 
 
 def check_intertwiner(

@@ -164,9 +164,9 @@ def run_check_algebra(cfg: dict) -> Iterator[dict]:
     # x(1-x) f'' is twice the mutation-free Wright-Fisher generator
     K = 2.0 * exact.wf_monomial_matrix(0.0, M)
     kingman = processes.generator_matrix(processes.kingman_block(n_max=M))
-    Dm = dualities.Monomial().matrix(cont.basis, disc.basis)
     rep = algebra.check_intertwiner(
-        K, kingman.Q, Dm, rows=slice(0, M - 1), cols=slice(0, M - 1), identity="neutral diffusion vs block counting"
+        K, kingman.Q, dualities.Monomial().matrix(cont.basis, disc.basis), rows=slice(0, M - 1), cols=slice(0, M - 1),
+        identity="neutral diffusion vs block counting",
     )
     yield _row("intertwiner", rep.identity, f"M={M}", rep.max_abs_residual, tol)
 
@@ -397,12 +397,7 @@ def run_run_mc(cfg: dict) -> Iterator[dict]:
         family = dualities.DualityFamily("product-gamma", theta=theta, d=2)
         side = montecarlo.estimate_duality_side(spec, family, (x0,), frozen, t, est_cfg)
         gen = processes.generator_matrix(processes.moran_multitype(N, 2, theta))
-        f = np.array(
-            [
-                dualities.evaluate_at(family, (x0, 1.0 - x0), (k[0], N - k[0]))
-                for k in gen.index.states
-            ]
-        )
+        f = np.array([dualities.evaluate_at(family, (x0, 1.0 - x0), (k[0], N - k[0])) for k in gen.index.states])
         oracle = exact.exact_expectation(gen, f, (frozen[0],), t).value
         params = f"x0={x0},theta={theta},N={N},frozen={cfg['frozen']},t={t},dt={dt}"
     elif experiment == "wf-moment-vs-kingman":
@@ -411,7 +406,7 @@ def run_run_mc(cfg: dict) -> Iterator[dict]:
         family = dualities.DualityFamily("monomial")
         side = montecarlo.estimate_duality_side(spec, family, (x0,), (n,), t, est_cfg)
         gen = processes.generator_matrix(processes.kingman_block(n_max=max(2 * n, 4)))
-        f = np.array([x0 ** state[0] for state in gen.index.states])
+        f = np.array([dualities.evaluate_at(family, (x0,), state) for state in gen.index.states])
         oracle = exact.exact_expectation(gen, f, (n,), t).value
         params = f"x0={x0},n={n},t={t},dt={dt}"
     else:

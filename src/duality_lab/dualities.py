@@ -1,50 +1,39 @@
 """Catalog of duality functions with numerically stable evaluation.
 
-Each catalog function is one frozen dataclass: its parameters, checked at
-construction, and its formula, written once.  ``DualityFamily(kind,
-**params)`` builds the object of a kind from the parameters its formula
-takes.  Every object reduces a point to ``factors(point)``, a list of
-``(base, exponent)`` pairs; ``evaluate`` multiplies them directly or, once
-any factor leaves the safe double range, in log space with sign tracking,
-and the two paths agree to relative 1e-12 wherever the direct one is
-representable.  Where a function has a matrix form it has ``matrix(rows,
-cols)``, and where the pointwise engine (``exact.check_pointwise_duality``)
-acts on it, ``value(u, w)`` and the partials ``u_partial(u, w, *coords)``
-and ``w_partial``.
+Each function is one frozen dataclass with its checked parameters and its
+formula, built by kind with ``DualityFamily(kind, N=, m=, theta=, d=)``.
+``factors(point)`` gives ``(base, exponent)`` pairs that ``evaluate``
+multiplies directly or, once one leaves the safe double range, in log space
+with sign tracking (the two agree to relative 1e-12).  Matrix forms are
+``matrix(rows, cols)``; the pointwise engine reads ``value(u, w)``,
+``u_partial`` and ``w_partial``; the estimator reads ``slots`` (each slot's
+type; both of one size), ``lifted`` (reads the d-type state with its last
+type) and ``occupancy`` (the occupied-site indicator along a jump process).
 
-The estimator reads three class attributes instead of kind strings:
-``slots``, the type of each slot (``float`` continuous, ``int`` discrete);
-``lifted``, whether the function reads a d-type state with its implicit
-last type written out; and ``occupancy``, whether the estimator along a
-jump process applies the indicator that no occupied site empties.  Both
-slots of every function have the same number of coordinates.
-
-Slot conventions (first argument, second argument):
+Slots (first argument, second argument) and formulas:
 
 =====================  ======================================================
-monomial               continuous vector x, discrete vector n: prod x_i^n_i
-mirror-monomial        continuous vector x, discrete vector n:
-                       prod (1 - x_i)^n_i
-exponential            continuous vectors (x, y) of one size: exp(x . y)
-hermite-weighted       continuous scalar x, discrete scalar n:
-                       exp(-x^2/2) H_n(x), physicists' Hermite polynomials
-hypergeometric-finite  discrete pair (k, n): C(k,n)/C(N,n), zero for n > k
-gamma-weighted         continuous scalar z, discrete scalar n:
+monomial               continuous x, discrete n: prod x_i^n_i
+mirror-monomial        continuous x, discrete n: prod (1 - x_i)^n_i
+exponential            continuous x, continuous y: exp(x . y)
+hermite-weighted       continuous x, discrete n (1 each): exp(-x^2/2) H_n(x)
+hypergeometric-finite  discrete k, discrete n (1 each): C(k,n)/C(N,n)
+gamma-weighted         continuous z, discrete n (1 each):
                        z^n Gamma(m/2) / Gamma(m/2 + n)
-product-gamma          continuous simplex x (d entries), discrete k (d):
+product-gamma          continuous simplex x, discrete k (d each):
                        prod x_i^k_i / Gamma(2 theta/(d-1) + k_i)
-moran-self-dual        discrete (k, xi) of one size: prod k_i!/(k_i-xi_i)!
-                       * Gamma(a)/Gamma(xi_i + a), zero unless xi <= k;
-                       a = 2 theta/(d-1) and k summing to N for the d-type
-                       Moran model, a = m/2 for the inclusion process
-limiting-sip           discrete occupancy xi (d), continuous x (d):
-                       prod over occupied sites of x_i^xi_i / (xi_i - 1)!
+moran-self-dual        discrete k, discrete xi: zero unless xi <= k, else
+                       prod k_i!/(k_i-xi_i)! Gamma(a)/Gamma(a + xi_i); a is
+                       m/2, or 2 theta/(d-1) with k summing to N (Moran)
+limiting-sip           discrete xi, continuous x: prod over occupied sites
+                       of x_i^xi_i / (xi_i - 1)!
 =====================  ======================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import inspect
+from dataclasses import dataclass
 from math import exp, isfinite, lgamma, log, prod
 from numbers import Integral, Real
 from typing import ClassVar, Sequence
@@ -52,19 +41,10 @@ from typing import ClassVar, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .algebra import Basis, falling_factorial_matrix, hermite_coefficient_matrix
+from .algebra import Basis, falling_factorial_matrix
 
 __all__ = [
     "DualityFamily",
-    "Monomial",
-    "MirrorMonomial",
-    "Exponential",
-    "HermiteWeighted",
-    "HypergeometricFinite",
-    "GammaWeighted",
-    "ProductGamma",
-    "InclusionSelfDuality",
-    "LimitingSip",
     "EvalPoint",
     "evaluate",
     "evaluate_at",
@@ -94,22 +74,20 @@ class EvalPoint:
             raise ValueError("discrete coordinates must be non-negative")
 
 
-def _point(continuous: Sequence[float], discrete: Sequence[int]) -> EvalPoint:
-    return EvalPoint(tuple(float(c) for c in continuous), tuple(int(n) for n in discrete))
+#: the count parameters and their floors; the others are finite and positive
+_INTEGER_FLOORS = {"N": 1, "d": 2}
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real) or not (isfinite(value) and value > 0):
+def _check(name: str, value) -> None:
+    if name in _INTEGER_FLOORS:
+        low = _INTEGER_FLOORS[name]
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, Real) or not (isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
 
 
-def _square_basis(kind: str, rows: Basis, cols: Basis) -> int:
-    """The common size of a monomial row basis and an equal-size column basis."""
+def _square_monomial(kind: str, rows: Basis, cols: Basis) -> int:
     if rows.kind != "monomial" or rows.size != cols.size:
         raise ValueError(f"{kind} duality needs equal-size monomial rows")
     return rows.size
@@ -126,66 +104,43 @@ def hermite_value(n: int, x: float) -> float:
 
 
 class _Duality:
-    """Defaults of the class attributes every catalog function carries."""
-
     kind: ClassVar[str]
-    slots: ClassVar[tuple[type, type]]
+    slots: ClassVar[tuple[type, type]] = (float, int)
     lifted: ClassVar[bool] = False
     occupancy: ClassVar[bool] = False
 
-    @classmethod
-    def parameters(cls) -> tuple[str, ...]:
-        """The keyword parameters :func:`DualityFamily` passes for this kind."""
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def build(cls, **params) -> _Duality:
-        return cls(**params)
-
-
-# ---------------------------------------------------------------------------
-# product powers: the moment dualities and their partials
-# ---------------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None:
+                _check(name, value)
 
 
 class _Powers(_Duality):
-    """``prod b(x_i)^n_i`` with ``b`` the identity or the mirror ``1 - x``.
+    """``prod b(x_i)^n_i``, with partials in ``x`` only; each brings out the sign of ``b'``."""
 
-    ``value``, ``u_partial`` and ``factors`` share the bases; each
-    derivative in ``x`` brings out the sign of ``b'``.
-    """
-
-    slots = (float, int)
     lifted = True
-    w_partial: ClassVar[None] = None
-    _sign: ClassVar[int]
+    _sign: ClassVar[int] = 1
 
     def _bases(self, x: Sequence[float]) -> Sequence[float]:
-        raise NotImplementedError
+        return x
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
-        c, n = p.continuous, p.discrete
-        if len(c) != len(n) or not c:
+        if len(p.continuous) != len(p.discrete) or not p.continuous:
             raise ValueError(f"{self.kind} needs matching continuous/discrete vectors")
-        return [(b, float(k)) for b, k in zip(self._bases(c), n)]
+        return [(b, float(k)) for b, k in zip(self._bases(p.continuous), p.discrete)]
 
-    @staticmethod
-    def _product(bases: Sequence[float], n: Sequence[int]) -> float:
+    def value(self, x: Sequence[float], n: Sequence[int]) -> float:
         out = 1.0
-        for b, k in zip(bases, n):
+        for b, k in zip(self._bases(x), n):
             out *= b**k
         return out
 
-    def value(self, x: Sequence[float], n: Sequence[int]) -> float:
-        return self._product(self._bases(x), n)
-
     def u_partial(self, x: Sequence[float], n: Sequence[int], *coords: int) -> float:
-        """The derivative in the listed coordinates of ``x``."""
         powers, coef = list(n), 1
         for i in coords:
             coef *= powers[i]
             powers[i] -= 1
-        return self._sign ** len(coords) * (coef * self._product(self._bases(x), powers) if coef else 0.0)
+        return self._sign ** len(coords) * (coef * self.value(x, powers) if coef else 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,14 +148,9 @@ class Monomial(_Powers):
     """``prod x_i^{n_i}``, the moment duality of the diffusions with their block-counting chains."""
 
     kind = "monomial"
-    _sign = 1
-
-    def _bases(self, x: Sequence[float]) -> Sequence[float]:
-        return x
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
-        """The identity: monomials are the row basis."""
-        return np.eye(_square_basis(self.kind, rows, cols))
+        return np.eye(_square_monomial(self.kind, rows, cols))
 
 
 @dataclass(frozen=True)
@@ -214,14 +164,9 @@ class MirrorMonomial(_Powers):
         return tuple(1.0 - xi for xi in x)
 
 
-# ---------------------------------------------------------------------------
-# continuous-continuous and continuous-discrete functions
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class Exponential(_Duality):
-    """``exp(x . y)``; each derivative in a coordinate of one slot brings out that coordinate of the other."""
+    """``exp(x . y)``; a derivative in a coordinate of one slot brings out that coordinate of the other."""
 
     kind = "exponential"
     slots = (float, float)
@@ -244,21 +189,26 @@ class Exponential(_Duality):
 
 @dataclass(frozen=True)
 class HermiteWeighted(_Duality):
-    """``exp(-x^2/2) H_n(x)``; the Gaussian factor goes to the log path as ``(e, -x^2/2)``."""
+    """``exp(-x^2/2) H_n(x)``; the Gaussian is the factor ``(e, -x^2/2)``, so the log path carries it."""
 
     kind = "hermite-weighted"
-    slots = (float, int)
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
-        c, n = p.continuous, p.discrete
-        if len(c) != 1 or len(n) != 1:
+        if len(p.continuous) != 1 or len(p.discrete) != 1:
             raise ValueError("hermite-weighted needs one continuous and one discrete slot")
-        x = c[0]
-        return [(_E, -x * x / 2.0), (hermite_value(n[0], x), 1.0)]
+        x = p.continuous[0]
+        return [(_E, -x * x / 2.0), (hermite_value(p.discrete[0], x), 1.0)]
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
-        """Hermite coefficients, relative to the Gaussian-gauged monomial basis."""
-        return hermite_coefficient_matrix(_square_basis(self.kind, rows, cols) - 1)
+        """Columns the monomial coefficients of H_n: the gauged raising operator ``x - d/dx`` on the Gaussian."""
+        size = _square_monomial(self.kind, rows, cols)
+        out = np.zeros((size, size))
+        out[0, 0] = 1.0
+        for n in range(size - 1):
+            out[1:, n + 1] = 2.0 * out[:-1, n]
+            if n:
+                out[:, n + 1] -= 2.0 * n * out[:, n - 1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -267,16 +217,11 @@ class GammaWeighted(_Duality):
 
     m: float
     kind = "gamma-weighted"
-    slots = (float, int)
-
-    def __post_init__(self) -> None:
-        _check_positive("m", self.m)
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
-        c, n = p.continuous, p.discrete
-        if len(c) != 1 or len(n) != 1:
+        if len(p.continuous) != 1 or len(p.discrete) != 1:
             raise ValueError("gamma-weighted needs one continuous and one discrete slot")
-        z, deg = c[0], n[0]
+        z, deg = p.continuous[0], p.discrete[0]
         if z < 0:
             raise ValueError("gamma-weighted needs z >= 0")
         a = self.m / 2.0
@@ -284,25 +229,19 @@ class GammaWeighted(_Duality):
         return [(z / (a + j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
-        """The diagonal of Gamma ratios, monomials on the rows."""
-        n = np.arange(_square_basis(self.kind, rows, cols))
         a = self.m / 2.0
+        n = np.arange(_square_monomial(self.kind, rows, cols))
         return np.diag(np.exp(gammaln(a) - gammaln(a + n)))
 
 
 @dataclass(frozen=True)
 class ProductGamma(_Duality):
-    """``prod x_i^k_i / Gamma(a + k_i)``, ``a = 2 theta/(d-1)``: d-type Wright-Fisher vs Moran."""
+    """``prod x_i^k_i / Gamma(2 theta/(d-1) + k_i)``, the d-type Wright-Fisher / Moran duality."""
 
     theta: float
     d: int
     kind = "product-gamma"
-    slots = (float, int)
     lifted = True
-
-    def __post_init__(self) -> None:
-        _check_positive("theta", self.theta)
-        _check_integer("d", self.d, 2)
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
         c, n = p.continuous, p.discrete
@@ -311,7 +250,7 @@ class ProductGamma(_Duality):
         if abs(sum(c) - 1.0) > _SIMPLEX_TOL:
             raise ValueError("product-gamma continuous coordinates must lie on the simplex")
         a = 2.0 * self.theta / (self.d - 1)
-        out: list[tuple[float, float]] = []
+        out = []
         for x, k in zip(c, n):
             if x < 0:
                 raise ValueError("simplex coordinates must be non-negative")
@@ -322,7 +261,7 @@ class ProductGamma(_Duality):
 
 @dataclass(frozen=True)
 class LimitingSip(_Duality):
-    """``prod x_i^xi_i / (xi_i - 1)!`` over occupied sites: the vanishing-mutation limit."""
+    """``prod x_i^xi_i / (xi_i - 1)!`` over the occupied sites, the vanishing-mutation limit."""
 
     kind = "limiting-sip"
     slots = (int, float)
@@ -341,21 +280,13 @@ class LimitingSip(_Duality):
         return out or [(1.0, 1.0)]
 
 
-# ---------------------------------------------------------------------------
-# discrete-discrete functions
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class HypergeometricFinite(_Duality):
-    """``C(k,n)/C(N,n)``: the finite population of size ``N`` vs block counting."""
+    """``C(k,n)/C(N,n)``, the population of size ``N`` vs block counting."""
 
     N: int
     kind = "hypergeometric-finite"
     slots = (int, int)
-
-    def __post_init__(self) -> None:
-        _check_integer("N", self.N, 1)
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
         if p.continuous or len(p.discrete) != 2:
@@ -371,7 +302,6 @@ class HypergeometricFinite(_Duality):
         return [((k - j) / (self.N - j), 1.0) for j in range(deg)] or [(1.0, 1.0)]
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
-        """``[C(k,n)/C(N,n)]`` for k, n in 0..N, lower triangular."""
         if rows.size != self.N + 1 or cols.size != self.N + 1:
             raise ValueError("hypergeometric-finite duality needs bases of size N+1")
         return falling_factorial_matrix(self.N)
@@ -379,13 +309,7 @@ class HypergeometricFinite(_Duality):
 
 @dataclass(frozen=True)
 class InclusionSelfDuality(_Duality):
-    """``prod k_i!/(k_i - xi_i)! * Gamma(a)/Gamma(a + xi_i)``, zero unless xi <= k.
-
-    The self-duality of the inclusion process with ``a = m/2``, and of the
-    d-type Moran model with ``a = 2 theta/(d-1)`` and population ``N``,
-    which the inclusion process becomes on a sector.  With ``N`` set the
-    counts ``k`` must sum to it.
-    """
+    """Self-duality of the inclusion process, ``a = m/2``, and of its sector the d-type Moran model."""
 
     a: float
     N: int | None = None
@@ -393,31 +317,21 @@ class InclusionSelfDuality(_Duality):
     slots = (int, int)
     lifted = True
 
-    def __post_init__(self) -> None:
-        _check_positive("a", self.a)
-        if self.N is not None:
-            _check_integer("N", self.N, 1)
-
     @classmethod
-    def parameters(cls) -> tuple[str, ...]:
-        return ("N", "theta", "d")
-
-    @classmethod
-    def build(cls, *, N: int, theta: float, d: int) -> InclusionSelfDuality:
-        """The d-type Moran model's self-duality."""
-        _check_positive("theta", theta)
-        _check_integer("d", d, 2)
-        return cls(a=2.0 * theta / (d - 1), N=N)
+    def moran(cls, N: int, theta: float, d: int) -> InclusionSelfDuality:
+        """The Moran model of population ``N``: ``a = 2 theta/(d-1)``, counts summing to ``N``."""
+        _check("theta", theta)
+        _check("d", d)
+        return cls(2.0 * theta / (d - 1), N)
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
         n, d = p.discrete, len(p.discrete) // 2
         if p.continuous or not n or len(n) % 2:
-            raise ValueError(f"{self.kind} needs 2d discrete slots (k then xi)")
-        k, xi = n[:d], n[d:]
-        if self.N is not None and sum(k) != self.N:
+            raise ValueError("moran-self-dual needs 2d discrete slots (k then xi)")
+        if self.N is not None and sum(n[:d]) != self.N:
             raise ValueError("type counts must sum to the population size")
         out = []
-        for ki, xii in zip(k, xi):
+        for ki, xii in zip(n[:d], n[d:]):
             if xii > ki:
                 return [(0.0, 1.0)]
             # falling factorial k(k-1)...(k-xi+1)
@@ -426,11 +340,6 @@ class InclusionSelfDuality(_Duality):
         return out or [(1.0, 1.0)]
 
     def matrix(self, index_rows, index_cols) -> np.ndarray:
-        """The matrix between two sectors (``processes.StateIndex``), rows k and columns xi.
-
-        With equal sectors it collapses to the diagonal duality attached to
-        the reversible product measure.
-        """
         a = self.a
         out = np.zeros((len(index_rows), len(index_cols)))
         K = np.array(index_rows.states, dtype=float)
@@ -448,42 +357,24 @@ class InclusionSelfDuality(_Duality):
         return out
 
 
-_CATALOG: dict[str, type[_Duality]] = {
+# each kind's builder; its signature names the parameters the kind takes
+_BUILDERS = {
     cls.kind: cls
-    for cls in (
-        Monomial,
-        MirrorMonomial,
-        Exponential,
-        HermiteWeighted,
-        HypergeometricFinite,
-        GammaWeighted,
-        ProductGamma,
-        InclusionSelfDuality,
-        LimitingSip,
-    )
+    for cls in (Monomial, MirrorMonomial, Exponential, HermiteWeighted, HypergeometricFinite, GammaWeighted, ProductGamma, LimitingSip)
 }
-KINDS = tuple(_CATALOG)
+_BUILDERS["moran-self-dual"] = InclusionSelfDuality.moran
+KINDS = tuple(_BUILDERS)
 
 
 def DualityFamily(kind: str, N: int | None = None, m: float | None = None, theta: float | None = None, d: int | None = None):
-    """The catalog object of ``kind``, built from the parameters its formula takes.
-
-    ``None`` counts as absent.  An unknown kind, a missing or stray
-    parameter, or an invalid value raises ``ValueError``.
-    """
-    try:
-        cls = _CATALOG[kind]
-    except KeyError:
-        raise ValueError(f"unknown duality kind {kind!r}") from None
-    given = {name: value for name, value in (("N", N), ("m", m), ("theta", theta), ("d", d)) if value is not None}
-    need = cls.parameters()
-    for name in need:
-        if name not in given:
-            raise ValueError(f"{kind} requires parameter {name}")
-    for name in given:
-        if name not in need:
-            raise ValueError(f"{kind} does not take parameter {name}")
-    return cls.build(**given)
+    """The catalog object of ``kind``; a missing, stray (not ``None``) or invalid parameter raises ``ValueError``."""
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown duality kind {kind!r}")
+    given = {name: v for name, v in (("N", N), ("m", m), ("theta", theta), ("d", d)) if v is not None}
+    need = tuple(inspect.signature(_BUILDERS[kind]).parameters)
+    if set(given) != set(need):
+        raise ValueError(f"{kind} takes the parameters ({', '.join(need)}), not ({', '.join(given)})")
+    return _BUILDERS[kind](**given)
 
 
 def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
@@ -534,7 +425,7 @@ def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
 
 def evaluate_at(family, continuous: Sequence[float], discrete: Sequence[int]) -> float:
     """Convenience wrapper building the :class:`EvalPoint` in place."""
-    return evaluate(family, _point(continuous, discrete))
+    return evaluate(family, EvalPoint(tuple(float(c) for c in continuous), tuple(int(n) for n in discrete)))
 
 
 def cheap_self_duality(mu: np.ndarray) -> np.ndarray:

@@ -14,11 +14,9 @@ through an exact polynomial-coefficient representation.  Pointwise identities
 :func:`check_pointwise_duality`: a second-order side acts through its
 drift, covariance and potential on analytic partial derivatives of the
 duality function, and a jump side through its own rates, so no state
-space is enumerated or truncated.  The duality functions themselves, their
-values, partials and matrices, are the objects of
-:mod:`~duality_lab.dualities`; :func:`sip_self_duality_matrix` is the
-inclusion self-duality's matrix under its historical name.  The rational certification runs the
-models' rates and the algebra's builders with ``num=Fraction``.
+space is enumerated or truncated; the duality functions are the catalog
+objects of :mod:`~duality_lab.dualities`.  The rational certification runs
+the models' rates and the algebra's builders with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -392,16 +390,12 @@ def check_pointwise_duality(
 ) -> ResidualReport:
     """Max over a grid of |(K_l D)(u, w) - (K_r D)(u, w)|.
 
-    ``duality`` is any object with ``value(u, w)`` and, for a slot acted
-    on by a second-order side, ``u_partial(u, w, *coords)`` or
-    ``w_partial``: the derivative in the listed coordinates of that slot
-    (``coords = (0, 0)`` is the second derivative of a 1-d slot).  The
-    catalog's :class:`~duality_lab.dualities.Monomial`,
-    :class:`~duality_lab.dualities.MirrorMonomial` and
-    :class:`~duality_lab.dualities.Exponential` have them.  ``left`` acts
-    on the first slot: an :class:`Operator1D` or a diffusion model of any
-    dimension.  ``right`` acts on the second slot: either of
-    those, or a :class:`~duality_lab.processes.JumpModel`.  A grid point is
+    ``duality`` has ``value(u, w)`` and, for a slot a second-order side
+    acts on, ``u_partial(u, w, *coords)`` or ``w_partial``, the derivative
+    in the listed coordinates.  ``left`` acts on the first slot: an
+    :class:`Operator1D` or a diffusion model of any dimension.  ``right``
+    acts on the second slot: either of those, or a
+    :class:`~duality_lab.processes.JumpModel`.  A grid point is
     a number or a sequence of coordinates; a jump side's grid lists states.
 
     Each side is read once per grid point.  A second-order side becomes its
@@ -463,12 +457,7 @@ def sip_self_duality_matrix(
     index_cols: processes.StateIndex,
     m: float,
 ) -> np.ndarray:
-    """Self-duality matrix of the inclusion process between two sectors.
-
-    Entry (k, xi) = prod_i k_i!/(k_i - xi_i)! * Gamma(m/2)/Gamma(m/2 + xi_i),
-    zero unless xi <= k componentwise: the catalog's
-    :class:`~duality_lab.dualities.InclusionSelfDuality` at ``a = m/2``.
-    """
+    """Self-duality matrix of the inclusion process between two sectors, ``InclusionSelfDuality`` at ``a = m/2``."""
     return dualities.InclusionSelfDuality(a=m / 2.0).matrix(index_rows, index_cols)
 
 

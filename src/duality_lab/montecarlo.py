@@ -96,10 +96,6 @@ def _mean_se(values: Sequence[float]) -> SideEstimate:
     return SideEstimate(mean=mean, se=se, n=n)
 
 
-def _occupied(v: Sequence[int]) -> int:
-    return sum(1 for x in v if x >= 1)
-
-
 def estimate_duality_side(
     spec: DiffusionModel | JumpModel,
     family,
@@ -112,31 +108,28 @@ def estimate_duality_side(
 ) -> SideEstimate:
     """Sample mean and standard error of D(X_t, frozen) over seeded paths.
 
-    ``family`` is a catalog object of :mod:`~duality_lab.dualities`.  The
-    simulated endpoint fills the slot of its type (continuous for a
-    diffusion, discrete for a jump process) and ``frozen`` the other;
-    ``endpoint_slot`` resolves the order for families whose two slots have
-    the same type ("first" puts the endpoint in the first slot).  A family
-    that reads the lifted d-type state gets each endpoint with its implicit
-    last type written out (``spec.lift``).  Both slots must then have the
-    same number of coordinates.
+    The endpoint fills the slot of its type (``family.slots``) and
+    ``frozen``, of the same size, the other; ``endpoint_slot`` resolves the
+    order for families whose two slots have the same type ("first" puts the
+    simulated endpoint in the duality function's first slot).
 
     Along a diffusion, ``processes.diffusion_endpoints`` simulates every
-    path first; the endpoints are lifted in one array expression, and the
-    loop over paths is one ``dualities.evaluate`` call per row.  ``frozen``
-    is converted once per call, on both sides.
+    path first; the endpoints are lifted to the simplex in one array
+    expression (``spec.lift``, for a ``family.lifted``), and the loop over
+    paths is one ``dualities.evaluate`` call per row.  ``frozen`` is
+    converted once per call, on both sides.
 
     Along a jump process, ``processes.sample_jump`` draws every path's
     endpoint in one call, from the streams of ``processes.path_rng``; the
     evaluation point of each distinct endpoint is built once, and
     ``dualities.evaluate`` still runs once per path.
 
-    For a family with the occupancy indicator (the limiting occupancy
-    duality) evaluated along a jump process, the estimator multiplies by
-    the indicator that the number of occupied sites is conserved; that is
-    the only contribution surviving the vanishing-mutation limit when every
-    site starts occupied, and starting configurations with an empty site
-    are rejected.
+    For the limiting occupancy duality (``family.occupancy``) evaluated
+    along a jump process, the estimator multiplies by the indicator that
+    the number of occupied sites is conserved; that is the only
+    contribution surviving the vanishing-mutation limit when every site
+    starts occupied, and starting configurations with an empty site are
+    rejected.
     """
     if endpoint_slot not in ("first", "second"):
         raise ValueError("endpoint_slot must be 'first' or 'second'")
@@ -160,18 +153,11 @@ def estimate_duality_side(
         return _mean_se(values)
 
     if not isinstance(spec, JumpModel):
-        raise TypeError(
-            f"spec must be a DiffusionModel or a JumpModel, not {type(spec).__name__}; "
-            "for a generator matrix pass the JumpModel itself"
-        )
-    occupancy = family.occupancy
+        raise TypeError(f"a {type(spec).__name__} is not a model: pass the DiffusionModel or the JumpModel itself")
     start_t = tuple(int(v) for v in np.atleast_1d(start))
     full0 = spec.lift(start_t) if lift else start_t
-    if occupancy and _occupied(full0) != len(full0):
-        raise ValueError(
-            f"{family.kind} estimation requires every site occupied at the start; "
-            f"got {full0} with an empty site"
-        )
+    if family.occupancy and min(full0) < 1:
+        raise ValueError(f"{family.kind} estimation requires every site occupied at the start, not {full0}")
     point = _point_maker(family, frozen, endpoint_slot, int, len(full0))
     rngs = (processes.path_rng(cfg.seed, i) for i in range(cfg.n_paths))
     endpoints = processes.sample_jump(spec, start_t, t, rngs)
@@ -179,7 +165,7 @@ def estimate_duality_side(
     points = {}
     for endpoint in set(endpoints):
         disc = spec.lift(endpoint) if lift else endpoint
-        points[endpoint] = (point(disc), occupancy and _occupied(disc) != len(disc))
+        points[endpoint] = (point(disc), family.occupancy and min(disc) < 1)
     values = []
     for endpoint in endpoints:
         p, lost = points[endpoint]
@@ -189,34 +175,20 @@ def estimate_duality_side(
 
 
 def _point_maker(family, frozen, endpoint_slot: str, endpoint_type: type, size: int):
-    """The map from an endpoint tuple to the evaluation point, with ``frozen`` converted once.
-
-    ``endpoint_type`` is ``float`` for a diffusion's endpoints and ``int``
-    for a jump process's, ``size`` their number of coordinates; endpoints
-    arrive as tuples of that type.
-    """
+    """The map from an endpoint, a tuple of ``size`` floats or ints, to the evaluation point."""
     slots = family.slots
-    if slots[0] is slots[1]:
-        at = 0 if endpoint_slot == "first" else 1
-    else:
-        at = slots.index(endpoint_type)
+    at = ("first", "second").index(endpoint_slot) if slots[0] is slots[1] else slots.index(endpoint_type)
     if slots[at] is not endpoint_type:
-        source = "diffusion" if endpoint_type is float else "jump process"
-        raise ValueError(f"{family.kind} has no slot of the type of a {source} endpoint")
+        raise ValueError(f"{family.kind} has no {endpoint_type.__name__} slot for the endpoint")
     other = tuple(slots[1 - at](v) for v in np.atleast_1d(frozen))
     if len(other) != size:
-        raise ValueError(
-            f"{family.kind} needs slots of one size: the endpoint has {size} coordinates, "
-            f"the frozen argument {len(other)}"
-        )
+        raise ValueError(f"{family.kind} needs slots of one size, not an endpoint of {size} and a frozen {len(other)}")
     if slots[0] is not slots[1]:
-        if endpoint_type is float:
-            return lambda e: EvalPoint(continuous=e, discrete=other)
-        return lambda e: EvalPoint(continuous=other, discrete=e)
+        return (lambda e: EvalPoint(e, other)) if endpoint_type is float else (lambda e: EvalPoint(other, e))
     # slots of one type are concatenated in slot order
     if endpoint_type is float:
-        return (lambda e: EvalPoint(continuous=e + other)) if at == 0 else (lambda e: EvalPoint(continuous=other + e))
-    return (lambda e: EvalPoint(discrete=e + other)) if at == 0 else (lambda e: EvalPoint(discrete=other + e))
+        return (lambda e: EvalPoint(e + other)) if at == 0 else (lambda e: EvalPoint(other + e))
+    return (lambda e: EvalPoint((), e + other)) if at == 0 else (lambda e: EvalPoint((), other + e))
 
 
 def compare(

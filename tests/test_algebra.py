@@ -196,7 +196,7 @@ class TestIntertwiner:
 
 class TestHermiteConstruction:
     def test_first_polynomials(self):
-        H = algebra.hermite_coefficient_matrix(3)
+        H = dualities.HermiteWeighted().matrix(algebra.Basis("monomial", 4), algebra.Basis("occupation", 4))
         assert np.array_equal(H[:, 0], [1, 0, 0, 0])
         assert np.array_equal(H[:, 1], [0, 2, 0, 0])
         assert np.array_equal(H[:, 2], [-2, 0, 4, 0])
@@ -219,7 +219,7 @@ class TestHermiteConstruction:
         A = algebra._monomial_derivative(size)
         X = algebra._monomial_multiply(size)
         low, rai = 0.5 * A, 2.0 * X - A
-        H = algebra.hermite_coefficient_matrix(M)
+        H = dualities.HermiteWeighted().matrix(algebra.Basis("monomial", size), algebra.Basis("occupation", size))
         disc = canonical("heisenberg-discrete", M)
         assert algebra.check_intertwiner(low, disc.ops["lower"], H).max_abs_residual == 0.0
         rep = algebra.check_intertwiner(rai, disc.ops["raise"], H, cols=slice(0, M))

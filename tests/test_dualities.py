@@ -15,6 +15,7 @@ from duality_lab.dualities import (
     DualityFamily,
     EvalPoint,
     GammaWeighted,
+    HermiteWeighted,
     InclusionSelfDuality,
     cheap_self_duality,
     evaluate,
@@ -319,7 +320,7 @@ class TestTransformBySymmetry:
 
 class TestHermiteValue:
     def test_recurrence_against_matrix(self):
-        H = algebra.hermite_coefficient_matrix(8)
+        H = HermiteWeighted().matrix(algebra.Basis("monomial", 9), algebra.Basis("occupation", 9))
         x = 0.83
         powers = x ** np.arange(9)
         for n in range(9):

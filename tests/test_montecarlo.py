@@ -83,24 +83,24 @@ class TestSeScaling:
 class TestSlotChecks:
     def test_exponential_along_a_multi_coordinate_diffusion_is_rejected(self):
         cfg = het_config(n_paths=100, t=0.1)
-        with pytest.raises(ValueError, match="endpoint has 3 coordinates, the frozen argument 1"):
+        with pytest.raises(ValueError, match="not an endpoint of 3 and a frozen 1"):
             estimate_duality_side(processes.bep(3, 1.0), DualityFamily("exponential"), (0.2, 0.3, 0.5), (1.0,), 0.1, cfg)
 
     def test_frozen_argument_of_the_wrong_size_is_rejected_on_a_jump_process(self):
         spec = processes.moran_multitype(3, 2, 0.5)
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
-        with pytest.raises(ValueError, match="endpoint has 2 coordinates, the frozen argument 3"):
+        with pytest.raises(ValueError, match="not an endpoint of 2 and a frozen 3"):
             estimate_duality_side(spec, fam, (2,), (0.3, 0.3, 0.4), 0.5, het_config(n_paths=100), endpoint_slot="second")
 
     def test_discrete_family_along_a_diffusion_is_rejected(self):
         fam = DualityFamily("hypergeometric-finite", N=3)
-        with pytest.raises(ValueError, match="no slot"):
+        with pytest.raises(ValueError, match="no float slot"):
             estimate_duality_side(processes.wf_general_1d({1: 1.0, 2: -1.0}), fam, (0.3,), (1,), 0.1, het_config(n_paths=100))
 
     def test_generator_matrix_spec_is_rejected(self):
         gen = processes.generator_matrix(processes.moran_multitype(3, 2, 0.5))
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
-        with pytest.raises(TypeError, match="pass the JumpModel itself"):
+        with pytest.raises(TypeError, match="GeneratorMatrix is not a model: pass the DiffusionModel or the JumpModel itself"):
             estimate_duality_side(gen, fam, (2,), (0.3, 0.7), 0.5, het_config(n_paths=100), endpoint_slot="second")
 
 
