@@ -199,7 +199,7 @@ class HermiteWeighted(_Duality):
         return [(_E, -x * x / 2.0), (hermite_value(p.discrete[0], x), 1.0)]
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
-        """Columns the monomial coefficients of H_n: the gauged raising operator ``x - d/dx`` on the Gaussian."""
+        """Column n holds the monomial coefficients of H_n, relative to the Gaussian-gauged monomials."""
         size = _square_monomial(self.kind, rows, cols)
         out = np.zeros((size, size))
         out[0, 0] = 1.0
