@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from math import exp, isfinite, lgamma, log, prod
+from math import exp, frexp, isfinite, ldexp, lgamma, log, prod
 from numbers import Integral, Real
 from typing import ClassVar, Sequence
 
@@ -58,6 +58,7 @@ _OVERFLOW = 1e300
 _UNDERFLOW = 1e-300
 
 _SIMPLEX_TOL = 1e-12
+_HERMITE_SCALE = 2.0**512
 _E = exp(1.0)
 
 
@@ -92,14 +93,26 @@ def _square_monomial(kind: str, rows: Basis, cols: Basis) -> int:
     return rows.size
 
 
-def hermite_value(n: int, x: float) -> float:
-    """H_n(x) in the physicists' convention, H_{j+1} = 2x H_j - 2j H_{j-1}."""
+def _hermite_scaled(n: int, x: float) -> tuple[float, int]:
+    """H_n(x) as ``h * 2**s``, by the recurrence H_{j+1} = 2x H_j - 2j H_{j-1}.
+
+    Both terms are divided by 2**512 whenever the newest passes it, so no
+    term overflows; dividing by a power of two is exact, so ``h * 2**s`` is
+    bit for bit the plain recurrence's value wherever that is finite.
+    """
     if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
+        return 1.0, 0
+    prev, cur, s = 1.0, 2.0 * x, 0
     for j in range(1, n):
         prev, cur = cur, 2.0 * x * cur - 2.0 * j * prev
-    return cur
+        if abs(cur) > _HERMITE_SCALE:
+            prev, cur, s = prev / _HERMITE_SCALE, cur / _HERMITE_SCALE, s + 512
+    return cur, s
+
+
+def hermite_value(n: int, x: float) -> float:
+    """H_n(x) in the physicists' convention; ``OverflowError`` past the double range."""
+    return ldexp(*_hermite_scaled(n, x))
 
 
 class _Duality:
@@ -188,7 +201,12 @@ class Exponential(_Duality):
 
 @dataclass(frozen=True)
 class HermiteWeighted(_Duality):
-    """``exp(-x^2/2) H_n(x)``; the Gaussian is the factor ``(e, -x^2/2)``, so the log path carries it."""
+    """``exp(-x^2/2) H_n(x)``; the Gaussian is the factor ``(e, -x^2/2)``, so the log path carries it.
+
+    Where H_n(x) itself passes the double range it is the two factors
+    ``(2, s)`` and ``(h, 1)`` of the scaled recurrence, which the log path
+    also carries.
+    """
 
     kind = "hermite-weighted"
 
@@ -196,7 +214,10 @@ class HermiteWeighted(_Duality):
         if len(p.continuous) != 1 or len(p.discrete) != 1:
             raise ValueError("hermite-weighted needs one continuous and one discrete slot")
         x = p.continuous[0]
-        return [(_E, -x * x / 2.0), (hermite_value(p.discrete[0], x), 1.0)]
+        h, s = _hermite_scaled(p.discrete[0], x)
+        if frexp(h)[1] + s <= 1024:
+            return [(_E, -x * x / 2.0), (ldexp(h, s), 1.0)]
+        return [(_E, -x * x / 2.0), (2.0, float(s)), (h, 1.0)]
 
     def matrix(self, rows: Basis, cols: Basis) -> np.ndarray:
         """Column n holds the monomial coefficients of H_n, relative to the Gaussian-gauged monomials."""

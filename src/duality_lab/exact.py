@@ -26,7 +26,6 @@ truth (see the package README).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, lgamma, log, sqrt
@@ -87,14 +86,13 @@ def _as_matrix(Q: GeneratorMatrix | np.ndarray) -> np.ndarray | sparse.csr_array
     return np.asarray(Q, dtype=float)
 
 
-# uniformization never runs below this many states: its call overhead of
-# about 6 us per sparse product is outside the flop model, and below this
-# size the two branches tie at best (0.95 against 0.97 ms on the 91-state
-# d = 3 Moran chain)
+# uniformization never runs below this many states: below this size the
+# two branches tie at best (0.95 against 0.97 ms on the 91-state d = 3
+# Moran chain)
 _UNIFORMIZATION_MIN_STATES = 128
-# uniformization runs when its flops are below n^3 / this; the measured
-# crossover table is in CHANGES.md
-_DENSE_FLOP_RATIO = 4
+# the fixed cost of one sparse product (about 6 us of scipy call overhead),
+# in flops of the cost rule; the measured crossover table is in CHANGES.md
+_PRODUCT_FLOPS = 10_000
 # peak n x n float64 arrays of the dense branch: the dense copy, tQ and
 # expm's own work arrays (traced at 1,000 states)
 _DENSE_EXPM_ARRAYS = 10
@@ -116,10 +114,10 @@ def _prefers_uniformization(M: np.ndarray | sparse.csr_array, t: float, cols: in
 
     Dense ``expm`` costs about n^3 flops whatever the entries.
     Uniformization takes about ``x + 9 sqrt(x)`` products of P, with
-    ``x = Lambda t``, each of ``nnz * cols`` flops.  So size alone is not
-    the rule: stiff chains such as block counting with rates n(n-1) stay
-    dense at a few hundred states, while the sparse inclusion-process
-    sectors are uniformized.
+    ``x = Lambda t``, each of ``nnz * cols`` flops plus a fixed cost of
+    about 10^4 flops' time.  So size alone is not the rule: stiff chains
+    such as block counting with rates n(n-1) stay dense at a few hundred
+    states, while the sparse inclusion-process sectors are uniformized.
     """
     n = M.shape[0]
     if n < _UNIFORMIZATION_MIN_STATES:
@@ -130,7 +128,7 @@ def _prefers_uniformization(M: np.ndarray | sparse.csr_array, t: float, cols: in
             return False
     x = _max_exit_rate(M) * t
     nnz = M.nnz if sparse.issparse(M) else np.count_nonzero(M)
-    return (x + 9.0 * sqrt(x)) * nnz * cols < n**3 / _DENSE_FLOP_RATIO
+    return (x + 9.0 * sqrt(x)) * (nnz * cols + _PRODUCT_FLOPS) < n**3
 
 
 def _poisson_weights(x: float) -> np.ndarray:
@@ -185,13 +183,6 @@ def _uniformized(M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, tran
     return out
 
 
-def _physical_memory() -> int | None:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _exponential_action(
     Q: GeneratorMatrix | np.ndarray, v: np.ndarray, t: float, transpose: bool
 ) -> tuple[np.ndarray, str]:
@@ -208,7 +199,7 @@ def _exponential_action(
         return v.copy(), "matrix-exponential"
     n = M.shape[0]
     need = _DENSE_EXPM_ARRAYS * 8 * n * n
-    memory = _physical_memory()
+    memory = processes._physical_memory()
     if memory is not None and need > memory:
         raise ValueError(
             f"dense matrix exponential of {n} states needs about {need} bytes, "
@@ -232,10 +223,11 @@ def matrix_exponential_apply(
     stored entries, ``cols`` columns in ``v`` and ``x = Lambda t``, Lambda
     the largest exit rate, ``Q`` is uniformized when it is a sub-generator
     (a generator matrix, or an array with off-diagonal entries >= 0 and
-    rows summing to <= 0), n >= 128 and ``(x + 9 sqrt(x)) * nnz * cols <
-    n^3 / 4``; otherwise dense ``expm`` runs on ``Q.toarray()``.  The first
-    is the flop count of uniformization, the second that of dense scaling
-    and squaring.  Size alone would be the wrong rule: a 401-state block
+    rows summing to <= 0), n >= 128 and ``(x + 9 sqrt(x)) * (nnz * cols +
+    10^4) < n^3``; otherwise dense ``expm`` runs on ``Q.toarray()``.  The
+    first is the cost of uniformization in flops, each sparse product
+    counted with its fixed overhead, the second that of dense scaling and
+    squaring.  Size alone would be the wrong rule: a 401-state block
     counting chain runs some 18x slower uniformized because its rates are
     large, while a 1,771-state inclusion sector runs 100x faster.  Both
     branches work to the double-precision unit roundoff.  Before a dense
@@ -344,7 +336,7 @@ def _side_at(side, grid: Sequence, slot: str, D) -> tuple[list[tuple], list]:
     if jumps:
         if slot != "right":
             raise ValueError(f"{side.kind} is a jump model: jump models act on the right slot, so pass it as right")
-        return points, [list(side.rates(w)) for w in points]
+        return points, side.transitions(points)
     if getattr(D, "u_partial" if slot == "left" else "w_partial", None) is None:
         raise ValueError(f"the duality function lacks the {slot}-slot derivatives")
     if isinstance(side, Operator1D):

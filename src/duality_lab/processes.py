@@ -10,13 +10,17 @@ block-counting chain with mutation and selection (``kingman_block``) and
 the stepping-stone diffusion with its migration/coalescence dual
 (``stepping_stone_forward`` / ``_dual``).
 
-A :class:`JumpModel` lists the positive rates out of a state,
-``rates(state, num=float)``, and enumerates its states,
-``index(truncation)``.  In floats the rates fill a sparse (CSR) rate matrix,
-:func:`generator_matrix`: every chain here moves one particle or one count
-per jump, so a row holds a handful of rates however many states there are.
-With ``num=Fraction`` the same rates give the exact rational generator,
-:func:`rational_generator`.  The jump sampler, :func:`sample_jump`,
+A :class:`JumpModel` writes its transitions once, in array form:
+``moves(K, num=float)`` over an (n, d) block of states gives one integer
+delta per move and one rate column per move.  It also enumerates its
+states, ``index(truncation)``.  In floats one ``moves`` call over all the
+states fills a sparse (CSR) rate matrix, :func:`generator_matrix`, through
+numpy alone: every chain here moves one particle or one count per jump, so
+a row holds a handful of rates however many states there are.  Run on an
+object array with ``num=Fraction``, the same code gives the exact rational
+generator, :func:`rational_generator`; ``rates(state, num)`` is its
+one-state view and ``transitions(states, num)`` its per-state lists, which
+the pointwise checks read.  The jump sampler, :func:`sample_jump`,
 uniformizes the chain and steps every path of a call at once through
 padded per-state tables of targets and cumulative rates read off the CSR
 rows.  A :class:`DiffusionModel` gives its drift and covariance on a batch
@@ -28,11 +32,14 @@ and generators are immutable; samplers are pure given their random streams.
 
 from __future__ import annotations
 
+import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, floor, fsum, sqrt
-from typing import ClassVar, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import comb, floor, fsum, prod, sqrt
+from types import MappingProxyType
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -72,25 +79,66 @@ Transitions = list[tuple[tuple[int, ...], float | Fraction]]
 
 @dataclass(frozen=True, eq=False)
 class StateIndex:
-    """Enumerated occupation vectors with a state <-> integer bijection."""
+    """Enumerated occupation vectors, the rows of ``array``, and the state <-> integer bijection.
+
+    ``array`` is an (n, d) integer array; ``states`` and ``pos`` are its rows
+    as tuples and their positions, built on first use.
+    """
 
     d: int
     N: int
     mode: str
-    states: tuple[tuple[int, ...], ...]
-    pos: dict[tuple[int, ...], int]
+    array: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.array)
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def pos(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType(dict(zip(self.states, range(len(self)))))
 
 
-def _compositions(d: int, N: int) -> Iterator[tuple[int, ...]]:
+# Enumerated windows and their target columns, kept by value: both are
+# immutable and deterministic, so builds over one window share them.  The
+# least recently used go once all together pass this many bytes.
+_MEMO_BYTES = 32 << 20
+_memo: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+_memo_bytes = 0
+
+
+def _memoised(key: tuple, build: Callable[[], object], nbytes: Callable[[object], int]) -> object:
+    """``build()``, kept under ``key`` among the most recently used values."""
+    global _memo_bytes
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key][0]
+    value = build()
+    size = nbytes(value)
+    _memo[key] = (value, size)
+    _memo_bytes += size
+    while _memo_bytes > _MEMO_BYTES:
+        _memo_bytes -= _memo.popitem(last=False)[1][1]
+    return value
+
+
+def _compositions(d: int, N: int) -> np.ndarray:
+    """Every d-vector of non-negative integers summing to N, in lexicographic order, as rows."""
     if d == 1:
-        yield (N,)
-        return
-    for first in range(N + 1):
-        for rest in _compositions(d - 1, N - first):
-            yield (first,) + rest
+        return np.array([[N]])
+    first = np.arange(N + 1)
+    rows, left = first[:, None], N - first
+    for _ in range(d - 2):
+        # each row branches into every value of its next coordinate
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        value = np.arange(len(parent)) - np.repeat(counts.cumsum() - counts, counts)
+        rows = np.concatenate([rows[parent], value[:, None]], axis=1)
+        left = left[parent] - value
+    return np.concatenate([rows, left[:, None]], axis=1)
 
 
 def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
@@ -98,7 +146,8 @@ def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
 
     The down-closed mode is what dual chains with deaths live on.  States
     are listed in lexicographic order; a guard rejects spaces above five
-    million states.
+    million states.  Indices are immutable, and recent ones are shared
+    between calls.
     """
     if d < 1 or N < 0:
         raise ValueError("need d >= 1 and N >= 0")
@@ -110,14 +159,68 @@ def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
         raise ValueError("mode must be 'conserved' or 'down-closed'")
     if count > _STATE_LIMIT:
         raise ValueError(f"state space of size {count} exceeds the {_STATE_LIMIT} guard")
-    if mode == "conserved":
-        states = tuple(_compositions(d, N))
-    else:
-        states = tuple(
-            s for total in range(N + 1) for s in _compositions(d, total)
-        )
-        states = tuple(sorted(states))
-    return StateIndex(d=d, N=N, mode=mode, states=states, pos={s: i for i, s in enumerate(states)})
+    return _memoised(("states", d, N, mode), lambda: _enumerate(d, N, mode), lambda index: index.array.nbytes)
+
+
+def _enumerate(d: int, N: int, mode: str) -> StateIndex:
+    # a down-closed state is a conserved one with a slack coordinate
+    # appended, and dropping the slack keeps the lexicographic order
+    states = _compositions(d, N) if mode == "conserved" else _compositions(d + 1, N)[:, :-1]
+    states.flags.writeable = False
+    return StateIndex(d=d, N=N, mode=mode, array=states)
+
+
+_CODE_LIMIT = 2**62
+
+
+def _codes(states: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of the states (n,) and of their targets ``states[i] + deltas[c]`` (n, m).
+
+    Two rows get one code exactly when they are equal.  Each coordinate is
+    a digit of a mixed-radix code, its range padded by the longest move
+    along it so that no target's digit carries into the next: the code is
+    linear, a target's being its state's plus its move's.  Coordinates
+    whose digits would pass 2**62 are coded in two halves, each replaced by
+    its rank among the states' codes.
+    """
+    moves = deltas.tolist()
+    radix = [
+        hi - lo + 1 + 2 * max((abs(move[c]) for move in moves), default=0)
+        for c, (lo, hi) in enumerate(zip(states.min(axis=0).tolist(), states.max(axis=0).tolist()))
+    ]
+    if prod(radix) <= _CODE_LIMIT:
+        weights = [prod(radix[c + 1 :]) for c in range(len(radix))]
+        own = states @ np.array(weights, dtype=np.int64)
+        steps = [sum(w * v for w, v in zip(weights, move)) for move in moves]
+        return own, own[:, None] + np.array(steps, dtype=np.int64)
+    half = len(radix) // 2
+    ranks = []
+    for cut in (slice(None, half), slice(half, None)):
+        own, code = _codes(states[:, cut], deltas[:, cut])
+        seen = np.unique(own)
+        hit = np.minimum(np.searchsorted(seen, code), len(seen) - 1)
+        ranks.append((np.searchsorted(seen, own), np.where(seen[hit] == code, hit, -1), len(seen)))
+    (own_a, code_a, _), (own_b, code_b, size_b) = ranks
+    return own_a * size_b + own_b, np.where((code_a >= 0) & (code_b >= 0), code_a * size_b + code_b, -1)
+
+
+def _target_columns(states: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Position of ``states[i] + deltas[c]`` among the rows of ``states`` (n, m), or -1.
+
+    The codes of :func:`_codes` are looked up with ``searchsorted`` among
+    the states' codes, in whatever order the states are listed, so a target
+    outside the window, negative or too-large coordinates included, is
+    never aliased to a state.  The flag says whether the states are listed
+    in increasing code order, which is lexicographic order.
+    """
+    own, code = _codes(states, deltas)
+    ordered = bool((own[1:] > own[:-1]).all())
+    order = None if ordered else np.argsort(own)
+    ranked = own if ordered else own[order]
+    # a code past the last state lands on it, and fails the comparison
+    hit = np.searchsorted(ranked[:-1], code)
+    found = ranked[hit] == code
+    return np.where(found, hit if ordered else order[hit], -1), ordered
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +231,15 @@ def enumerate_states(d: int, N: int, mode: str = "conserved") -> StateIndex:
 class JumpModel:
     """A continuous-time chain on occupation vectors.
 
-    Subclasses give ``rates(k, num=float)``, the transitions out of state
-    ``k`` with their rates, all positive, in the number type ``num``
-    (``float`` or ``Fraction``), and ``index(truncation)``, the enumerated
-    state space; a transition that leaves it is dropped.
+    Subclasses give ``moves(K, num=float)``, the chain's transitions over an
+    (n, d) block of states ``K``: an (m, d) integer array of deltas, one per
+    move, and an (n, m) array of rates, column ``c`` the rate of state
+    ``K[i] -> K[i] + deltas[c]``; a move whose rate is not positive is not
+    taken.  The rates are in the number type ``num``: ``float`` on an
+    integer ``K``, ``Fraction`` on an object array of ints.  Subclasses also
+    give ``index(truncation)``, the enumerated state space; a transition that
+    leaves it is dropped.  Every generator, sampler and check reads the
+    rates through ``moves``.
     """
 
     kind: ClassVar[str]
@@ -141,6 +249,20 @@ class JumpModel:
     def lift(self, state: tuple[int, ...]) -> tuple[int, ...]:
         """The state with any implicit last coordinate written out."""
         return state
+
+    def transitions(self, states: Sequence[Sequence[int]], num: type = float) -> list[Transitions]:
+        """Per state, its transitions with their positive rates, from one ``moves`` call over all of them."""
+        K = np.array(states, dtype=np.int64).reshape(len(states), -1)
+        deltas, rates = self.moves(K if num is float else K.astype(object), num)
+        targets = (K[:, None, :] + deltas).tolist()
+        return [
+            [(tuple(target), rate) for target, rate in zip(row_targets, row_rates) if rate > 0]
+            for row_targets, row_rates in zip(targets, rates.tolist())
+        ]
+
+    def rates(self, k: Sequence[int], num: type = float) -> Transitions:
+        """The transitions out of state ``k`` with their positive rates: one row of ``moves``."""
+        return self.transitions([k], num)[0]
 
 
 class DiffusionModel:
@@ -233,18 +355,13 @@ class WfGeneral1D(DiffusionModel, JumpModel):
     def index(self, truncation: int | None) -> StateIndex:
         return enumerate_states(1, 200 if truncation is None else truncation, "down-closed")
 
-    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
-        (n,) = k
-        out = []
-        for pw, coef in self.alpha:
-            rate = n * (n - 1) * num(coef)
-            if pw != 2 and rate > 0:
-                out.append(((n + pw - 2,), rate))
-        for pw, coef in self.beta:
-            rate = n * num(coef)
-            if pw != 1 and rate > 0:
-                out.append(((n + pw - 1,), rate))
-        return out
+    def moves(self, K: np.ndarray, num: type = float) -> tuple[np.ndarray, np.ndarray]:
+        n = K[:, 0]
+        pairs = n * (n - 1)
+        jumps = [(pw - 2, pairs * num(coef)) for pw, coef in self.alpha if pw != 2]
+        jumps += [(pw - 1, n * num(coef)) for pw, coef in self.beta if pw != 1]
+        deltas = np.array([[step] for step, _ in jumps], dtype=np.int64).reshape(-1, 1)
+        return deltas, np.array([rate for _, rate in jumps]).T.reshape(len(K), len(jumps))
 
     _inside = staticmethod(_in_unit_cube)
     project = staticmethod(_clip_unit)
@@ -344,23 +461,21 @@ class Bep(DiffusionModel):
         return x
 
 
-def _inclusion_moves(k: tuple[int, ...], weight, mut) -> Transitions:
-    """One particle i -> j at rate ``weight * k_i * (k_j + mut)``, every ordered pair."""
-    d = len(k)
-    out = []
-    for i in range(d):
-        if k[i] == 0:
-            continue
-        for j in range(d):
-            if i == j:
-                continue
-            rate = weight * k[i] * (k[j] + mut)
-            if rate > 0:
-                target = list(k)
-                target[i] -= 1
-                target[j] += 1
-                out.append((tuple(target), rate))
-    return out
+@lru_cache(maxsize=None)
+def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ordered pairs i != j of d sites, i-major, and the delta e_j - e_i of each."""
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    eye = np.eye(d, dtype=np.int64)
+    deltas = eye[j] - eye[i]
+    for a in (i, j, deltas):
+        a.flags.writeable = False
+    return i, j, deltas
+
+
+def _inclusion_moves(K: np.ndarray, weight, mut) -> tuple[np.ndarray, np.ndarray]:
+    """One particle i -> j at rate ``weight * K_i * (K_j + mut)``, every ordered pair."""
+    i, j, deltas = _ordered_pairs(K.shape[1])
+    return deltas, weight * K[:, i] * (K[:, j] + mut)
 
 
 @dataclass(frozen=True)
@@ -390,14 +505,15 @@ class MoranMultitype(JumpModel):
     def index(self, truncation: int | None) -> StateIndex:
         return enumerate_states(self.d - 1, self.N, "down-closed")
 
-    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+    def moves(self, K: np.ndarray, num: type = float) -> tuple[np.ndarray, np.ndarray]:
         # resampling moves one individual between any two types, the
         # implicit last one included, as in the inclusion process
-        full = self.lift(k)
-        if full[-1] < 0:
+        last = self.N - K.sum(axis=1)
+        if (last < 0).any():
             raise ValueError("state exceeds the population size")
         mut = 2 * num(self.theta) / (self.d - 1)
-        return [(target[:-1], rate) for target, rate in _inclusion_moves(full, num(self.rate_scale) / 2, mut)]
+        deltas, rates = _inclusion_moves(np.concatenate([K, last[:, None]], axis=1), num(self.rate_scale) / 2, mut)
+        return deltas[:, :-1], rates
 
     def lift(self, state: tuple[int, ...]) -> tuple[int, ...]:
         return state + (self.N - sum(state),)
@@ -422,8 +538,12 @@ class Sip(JumpModel):
             raise ValueError("sip needs the conserved particle total as truncation")
         return enumerate_states(self.d, truncation, "conserved")
 
-    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
-        return _inclusion_moves(k, num(1) / 2, num(self.m) / 2)
+    def moves(self, K: np.ndarray, num: type = float) -> tuple[np.ndarray, np.ndarray]:
+        return _inclusion_moves(K, num(1) / 2, num(self.m) / 2)
+
+
+_DOWN_UP = np.array([[-1], [1]])
+_DOWN_UP.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -443,16 +563,9 @@ class KingmanBlock(JumpModel):
     def index(self, truncation: int | None) -> StateIndex:
         return enumerate_states(1, self.n_max if truncation is None else truncation, "down-closed")
 
-    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
-        (n,) = k
-        out = []
-        down = n * (n - 1) + num(self.theta) * n
-        if down > 0:
-            out.append(((n - 1,), down))
-        up = num(self.sigma) * n
-        if up > 0:
-            out.append(((n + 1,), up))
-        return out
+    def moves(self, K: np.ndarray, num: type = float) -> tuple[np.ndarray, np.ndarray]:
+        n = K[:, 0]
+        return _DOWN_UP, np.array([n * (n - 1) + num(self.theta) * n, num(self.sigma) * n]).T
 
 
 def _validate_kernel(kernel: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
@@ -512,28 +625,20 @@ class SteppingStoneDual(JumpModel):
             raise ValueError("stepping-stone-dual needs a particle-number truncation")
         return enumerate_states(len(self.kernel), truncation, "down-closed")
 
-    def rates(self, k: tuple[int, ...], num: type = float) -> Transitions:
+    def moves(self, K: np.ndarray, num: type = float) -> tuple[np.ndarray, np.ndarray]:
         P = self.kernel
-        d = len(k)
-        out = []
-        for i in range(d):
-            if k[i] == 0:
-                continue
-            for j in range(d):
-                if i == j:
-                    continue
-                # both kernel directions move a walker from i to j
-                rate = k[i] * (num(P[i][j]) + num(P[j][i]))
-                if rate > 0:
-                    target = list(k)
-                    target[i] -= 1
-                    target[j] += 1
-                    out.append((tuple(target), rate))
-            if k[i] > 1:
-                target = list(k)
-                target[i] -= 1
-                out.append((tuple(target), num(k[i] * (k[i] - 1))))
-        return out
+        eye = np.eye(K.shape[1], dtype=np.int64)
+        deltas, rates = [], []
+        for i, ki in enumerate(K.T):
+            for j in range(len(eye)):
+                if j != i:
+                    # both kernel directions move a walker from i to j
+                    deltas.append(eye[j] - eye[i])
+                    rates.append(ki * (num(P[i][j]) + num(P[j][i])))
+            # two walkers at i coalesce
+            deltas.append(-eye[i])
+            rates.append(num(1) * (ki * (ki - 1)))
+        return np.array(deltas), np.array(rates).T.reshape(len(K), len(deltas))
 
 
 def _pairs(coefs: dict[int, float] | Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
@@ -577,30 +682,16 @@ def stepping_stone_dual(kernel: Sequence[Sequence[float]]) -> SteppingStoneDual:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Sparse rate matrix over an enumerated state space.
+    """Sparse rate matrix over an enumerated state space, as :func:`generator_matrix` builds it.
 
-    ``Q`` is a ``scipy.sparse.csr_array`` with sorted column indices and the
-    diagonal stored in every row.  Call ``Q.toarray()`` where a dense copy
-    is needed.
+    ``Q`` is a ``scipy.sparse.csr_array`` with sorted column indices, the
+    positive off-diagonal rates and the diagonal stored in every row, the
+    diagonal being minus the correctly rounded sum of the row's rates.  Call
+    ``Q.toarray()`` where a dense copy is needed.
     """
 
     Q: sparse.csr_array
     index: StateIndex
-
-    def __post_init__(self) -> None:
-        Q = self.Q
-        n = len(self.index)
-        if not isinstance(Q, sparse.csr_array):
-            raise TypeError("rate matrix must be a scipy.sparse.csr_array")
-        if Q.shape != (n, n):
-            raise ValueError("rate matrix does not match the state enumeration")
-        data, indptr = Q.data, Q.indptr
-        rows = np.arange(n).repeat(indptr[1:] - indptr[:-1])
-        if (data[Q.indices != rows] < -1e-12).any():
-            raise ValueError("negative off-diagonal rate")
-        sums = np.bincount(rows, weights=data, minlength=n)
-        if abs(sums).max(initial=0.0) > 1e-12 * max(1.0, abs(data).max(initial=0.0)):
-            raise ValueError("rows must sum to zero")
 
 
 def _jump_model(spec) -> JumpModel:
@@ -609,22 +700,100 @@ def _jump_model(spec) -> JumpModel:
     return spec
 
 
-def _rate_rows(spec: JumpModel, index: StateIndex, num: type) -> Iterator[dict[int, float | Fraction]]:
-    """Per state, its rates by column and the diagonal minus their sum.
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
-    Float diagonals are the correctly rounded sum (``math.fsum``).
+
+# bytes of one build per (state, move) pair, the diagonal counted as a move:
+# the rates, codes, masks and CSR arrays together peak at 47-54 (traced with
+# tracemalloc on chains of 500 to 6,000 states)
+_BUILD_BYTES = 64
+
+
+def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The model's moves over ``index``: rates (n, m) in ``num``, target columns (n, m) and the stay.
+
+    There is one column per distinct delta, in lexicographic order, the
+    zero delta (staying put, column ``stay``) included, so each row of a
+    lexicographically ordered index (the returned flag) lists its targets
+    by column.  Moves
+    with one delta add up in move order.  A rate is zero where no move is
+    taken: the model's rates are not positive, the target leaves the
+    window, or the column is the stay.
     """
-    pos = index.pos
-    for i, state in enumerate(index.states):
-        row: dict = {}
-        for target, rate in spec.rates(state, num):
-            j = pos.get(target)
-            if j is None:
-                # transitions leaving the enumerated window are dropped
-                continue
-            row[j] = row[j] + rate if j in row else rate
-        row[i] = -(fsum(row.values()) if num is float else sum(row.values(), num(0)))
-        yield row
+    states = index.array
+    n, d = states.shape
+    deltas, _ = spec.moves(states[:0])
+    need = n * (len(deltas) + 1) * _BUILD_BYTES
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"the generator of {n} states x {len(deltas)} moves needs about {need} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    deltas, rates = spec.moves(states if num is float else states.astype(object), num)
+    layout, firsts, repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
+    taken = np.where(rates > 0, rates, num(0))
+    merged = taken[:, firsts]
+    merged[:, stay] = num(0)
+    for k, c in repeats:
+        merged[:, k] += taken[:, c]
+    window = ("states", index.d, index.N, index.mode)
+    if _memo.get(window, (None,))[0] is index:
+        # an enumerated window: its targets depend on the deltas alone
+        cols, ordered = _memoised(
+            window + (layout.tobytes(),), lambda: _target_columns(states, layout), lambda value: value[0].nbytes
+        )
+    else:
+        cols, ordered = _target_columns(states, layout)
+    merged[cols < 0] = num(0)
+    return merged, cols, stay, ordered
+
+
+@lru_cache(maxsize=256)
+def _columns(deltas: tuple[tuple[int, ...], ...], d: int) -> tuple[np.ndarray, list[int], list[tuple[int, int]], int]:
+    """The columns of a move set: its distinct deltas and the zero one, in lexicographic order.
+
+    Returns the columns' deltas, the first move of each (any move for the
+    zero delta's column when no move has it), each later move with a
+    repeated delta as (column, move), and the zero delta's column.
+    """
+    stay = (0,) * d
+    layout = sorted(set(deltas) | {stay})
+    column = {delta: k for k, delta in enumerate(layout)}
+    firsts = [0] * len(layout)
+    repeats = []
+    seen = set()
+    for c, delta in enumerate(deltas):
+        k = column[delta]
+        if k in seen:
+            repeats.append((k, c))
+        else:
+            firsts[k] = c
+            seen.add(k)
+    layout = np.array(layout, dtype=np.int64)
+    layout.flags.writeable = False
+    return layout, firsts, repeats, column[stay]
+
+
+def _row_sums(rates: np.ndarray) -> np.ndarray:
+    """Each row's sum correctly rounded, as ``math.fsum`` gives it.
+
+    The left-to-right sum is exact, so correctly rounded, in every row
+    where none of its additions rounds (TwoSum's error term is zero); the
+    rows where one does go through ``fsum``.
+    """
+    total = np.cumsum(rates, axis=1)
+    prev, new, s = total[:, :-1], rates[:, 1:], total[:, 1:]
+    back = s - prev
+    rounded = ((prev - (s - back)) + (new - back)).any(axis=1)
+    out = total[:, -1]
+    for i in np.flatnonzero(rounded).tolist():
+        out[i] = fsum(rates[i].tolist())
+    return out
 
 
 def generator_matrix(
@@ -637,44 +806,52 @@ def generator_matrix(
     ``truncation`` bounds the state space of non-conserved chains (and names
     the conserved particle total for ``sip``).  A ``wf_general_1d`` model
     yields its moment dual chain.  Pass ``index`` to override the state
-    enumeration, e.g. to scan conservation across sectors.
+    enumeration, in any order, e.g. to scan conservation across sectors.
 
-    The CSR arrays are filled in one pass over the states, with the model's
-    float rates; no n x n array is allocated.  Going through COO and
-    ``tocsr()`` instead would add a few hundred microseconds per call,
-    several times the whole build of the 5- to 31-state chains the check
-    commands build by the dozen.
+    The model's ``moves`` runs once over the whole (n, d) block of states;
+    each target is ranked among the states by a mixed-radix code and a
+    target outside the window is dropped.  Each row stores its rates and
+    its diagonal, minus the correctly rounded sum of the rates, sorted by
+    column.  No per-state Python loop runs and no n x n array is
+    allocated.  A build whose (state, move) arrays would exceed physical
+    memory raises a ``ValueError`` before any of them is allocated.
     """
     spec = _jump_model(spec)
     if index is None:
         index = spec.index(truncation)
+    rates, cols, stay, ordered = _window_moves(spec, index, float)
     n = len(index)
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for row in _rate_rows(spec, index, float):
-        cols, rates = zip(*sorted(row.items()))
-        indices += cols
-        data += rates
-        indptr.append(len(indices))
-    Q = sparse.csr_array(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=(n, n)
-    )
+    rates[:, stay] = -_row_sums(rates)
+    stored = rates > 0
+    stored[:, stay] = True
+    data, indices = rates[stored], cols[stored]
+    counts = stored.sum(axis=1)
+    if not ordered:
+        # rows of a lexicographic index come sorted by column; others are sorted here
+        order = np.argsort(np.repeat(np.arange(n) * n, counts) + indices)
+        data, indices = data[order], indices[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = counts.cumsum()
+    Q = sparse.csr_array((data, indices.astype(np.int32), indptr), shape=(n, n))
     return GeneratorMatrix(Q=Q, index=index)
 
 
 def rational_generator(spec: JumpModel, truncation: int | None = None) -> list[list[Fraction]]:
     """The generator of :func:`generator_matrix` in exact rational arithmetic.
 
-    The same rates evaluated with ``num=Fraction`` (parameters enter as the
-    exact value of their float), as dense nested lists over ``index(truncation)``.
+    The same ``moves`` evaluated with ``num=Fraction`` (parameters enter as
+    the exact value of their float), as dense nested lists over
+    ``index(truncation)``.
     """
     spec = _jump_model(spec)
     index = spec.index(truncation)
-    Q = [[Fraction(0)] * len(index) for _ in index.states]
-    for i, row in enumerate(_rate_rows(spec, index, Fraction)):
-        for j, rate in row.items():
-            Q[i][j] = rate
+    rates, cols, _, _ = _window_moves(spec, index, Fraction)
+    Q = [[Fraction(0)] * len(index) for _ in range(len(index))]
+    for i, (row, targets) in enumerate(zip(rates.tolist(), cols.tolist())):
+        for rate, j in zip(row, targets):
+            if rate:
+                Q[i][j] = rate
+        Q[i][i] = -sum((rate for rate in row if rate), Fraction(0))
     return Q
 
 

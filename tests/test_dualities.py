@@ -1,6 +1,6 @@
 """Duality-function catalog: values, stability, cheap self-duality."""
 
-from math import comb, exp, lgamma
+from math import comb, e, exp, lgamma, log
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,6 +230,30 @@ class TestLogSpaceAgreement:
         got = evaluate_at(DualityFamily("hermite-weighted"), (40.0,), (100,))
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(1.5128829632073366e-158, rel=1e-12)
+
+    def test_hermite_weighted_past_the_double_range_of_h_n(self):
+        # H_200(40) ~ 4.7e377 overflows, and the plain recurrence gives nan;
+        # exp(-800) H_200(40) ~ 2.0e30 is representable.  H_n(40) is an
+        # integer, built exactly here
+        H = [1, 80]
+        for j in range(1, 200):
+            H.append(80 * H[-1] - 2 * j * H[-2])
+        want = exp(log(H[200]) - 800.0)
+        got = evaluate_at(DualityFamily("hermite-weighted"), (40.0,), (200,))
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(OverflowError):
+            hermite_value(200, 40.0)
+
+    @pytest.mark.parametrize("x", [40.0, -3.3, 0.0, 0.25, 17.5])
+    def test_hermite_factors_keep_the_plain_recurrence_bits(self, x):
+        fam = DualityFamily("hermite-weighted")
+        for n in range(0, 181, 7):
+            prev, cur = 1.0, 2.0 * x
+            for j in range(1, n):
+                prev, cur = cur, 2.0 * x * cur - 2.0 * j * prev
+            plain = 1.0 if n == 0 else cur
+            if np.isfinite(plain):
+                assert fam.factors(EvalPoint((x,), (n,))) == [(e, -x * x / 2.0), (plain, 1.0)]
 
     def test_log_path_survives_huge_powers(self):
         # a single power leaves the double range but the weighted value is

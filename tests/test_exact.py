@@ -2,7 +2,7 @@
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import exp
+from math import comb, exp
 
 import numpy as np
 import pytest
@@ -117,6 +117,40 @@ class TestOracleSelection:
         assert not exact._prefers_uniformization(gen.Q, t, 1)
         out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[-1], t)
         assert out.method == "matrix-exponential"
+
+    @pytest.mark.parametrize("d, N", [(3, 30), (4, 16), (4, 20)])
+    @pytest.mark.parametrize("t", [0.4, 0.6])
+    def test_exact_oracle_sectors_stay_uniformized(self, d, N, t):
+        # the benchmark's columns: the duality against the n = 2 sector and ones
+        gen = processes.generator_matrix(processes.sip(d, 1.0), truncation=N)
+        assert exact._prefers_uniformization(gen.Q, t, comb(d + 1, d - 1) + 1)
+
+    def test_mc_jump_oracle_stays_dense(self):
+        gen = processes.generator_matrix(processes.moran_multitype(12, 3, 0.5))
+        assert len(gen.index) == 91
+        assert not exact._prefers_uniformization(gen.Q, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "spec, truncation, t, cols, uniformize",
+        [
+            # few nonzeros per product: the fixed cost of each product decides
+            (processes.kingman_block(n_max=150), None, 0.02, 1, False),
+            (processes.sip(2, 1.0), 200, 0.15, 1, False),
+            # many columns: the products are cheap beside dense expm
+            (processes.sip(3, 1.0), 15, 0.5, 11, True),
+            (processes.sip(3, 1.0), 20, 2.0, 11, True),
+        ],
+        ids=["kingman-150", "sip-d2-N200", "sip-d3-N15", "sip-d3-N20"],
+    )
+    def test_each_product_counts_its_fixed_cost(self, spec, truncation, t, cols, uniformize):
+        gen = processes.generator_matrix(spec, truncation)
+        assert exact._prefers_uniformization(gen.Q, t, cols) is uniformize
+
+    def test_dense_beyond_physical_memory_is_refused_by_the_reader(self, monkeypatch):
+        gen = processes.generator_matrix(processes.kingman_block(n_max=300))
+        monkeypatch.setattr(processes, "_physical_memory", lambda: 1_000_000)
+        with pytest.raises(ValueError, match="dense matrix exponential of 301 states needs about"):
+            matrix_exponential_apply(gen, np.ones(len(gen.index)), 1.0)
 
     def test_dense_beyond_physical_memory_is_refused(self):
         gen = processes.generator_matrix(processes.kingman_block(n_max=200_000))

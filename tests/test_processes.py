@@ -1,6 +1,8 @@
 """Process models, generators, coefficient maps and samplers."""
 
+import collections
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -733,3 +735,177 @@ class TestPathRng:
         for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64)]:
             with pytest.raises(ValueError):
                 seed_seq.generate_state(n_words, dtype)
+
+
+# ---------------------------------------------------------------------------
+# the batched assembly against the one-state view of the moves
+# ---------------------------------------------------------------------------
+
+
+def _dense_from_rates(spec, index, num):
+    """The generator over ``index`` assembled state by state from ``rates(k, num)``.
+
+    A target outside ``index`` is dropped, rates to one target add up in
+    the order listed, and the diagonal is minus the row's sum: ``fsum`` in
+    float, exact in ``Fraction``.
+    """
+    n = len(index)
+    Q = [[num(0)] * n for _ in range(n)]
+    for i, k in enumerate(index.states):
+        row = {}
+        for target, rate in spec.rates(k, num):
+            j = index.pos.get(target)
+            if j is not None:
+                row[j] = row[j] + rate if j in row else rate
+        for j, rate in row.items():
+            Q[i][j] = rate
+        Q[i][i] = -(math.fsum(row.values()) if num is float else sum(row.values(), Fraction(0)))
+    return Q
+
+
+_KERNELS = (((0.5, 0.5), (0.5, 0.5)), ((0.2, 0.8), (0.3, 0.7)), ((0.1, 0.6, 0.3), (0.25, 0.5, 0.25), (0.3, 0.3, 0.4)))
+_RATES = st.floats(0.0, 3.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def _jump_chains(draw):
+    """A jump model and its truncation, from every model kind of the module."""
+    kind = draw(st.sampled_from(["sip", "moran", "kingman", "wf", "stepping-stone"]))
+    if kind == "sip":
+        return sip(draw(st.integers(2, 4)), draw(_RATES)), draw(st.integers(0, 5))
+    if kind == "moran":
+        theta = draw(st.sampled_from([0.0, 0.3, 0.5, 1.7]))
+        rate_scale = draw(st.sampled_from([1.0, 2.0]))
+        return moran_multitype(draw(st.integers(1, 6)), draw(st.integers(2, 4)), theta, rate_scale=rate_scale), None
+    if kind == "kingman":
+        # sigma > 0 moves up out of the window at n_max
+        return kingman_block(draw(_RATES), draw(st.floats(0.05, 2.0).map(lambda v: round(v, 3))), draw(st.integers(1, 12))), None
+    if kind == "wf":
+        # upward powers 3 and 4 leave the window at the truncation, and beta
+        # power 0 and alpha power 1 both move n -> n - 1
+        a1, a3, a4 = (draw(_RATES) for _ in range(3))
+        b0, b3 = draw(_RATES), draw(_RATES)
+        spec = wf_general_1d({1: a1, 2: -(a1 + a3 + a4), 3: a3, 4: a4}, {0: b0, 1: -(b0 + b3), 3: b3})
+        return spec, draw(st.integers(0, 12))
+    return stepping_stone_dual(draw(st.sampled_from(_KERNELS))), draw(st.integers(0, 4))
+
+
+class TestBatchedAssembly:
+    """``generator_matrix`` and ``rational_generator`` against a per-state assembly of ``rates``."""
+
+    @staticmethod
+    def _assert_matches_rates(spec, index, gen):
+        Q = gen.Q
+        # toarray adds each stored entry to +0.0, so a stored -0.0 reads +0.0
+        want = np.array(_dense_from_rates(spec, index, float)) + 0.0
+        assert Q.toarray().tobytes() == want.tobytes()
+        assert Q.has_sorted_indices
+        rows = np.arange(len(index)).repeat(np.diff(Q.indptr))
+        # the diagonal is stored in every row, the rates only where positive
+        assert (np.bincount(rows[Q.indices == rows], minlength=len(index)) == 1).all()
+        assert (Q.data[Q.indices != rows] > 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=_jump_chains())
+    def test_float_bits_and_exact_fractions(self, chain):
+        spec, truncation = chain
+        gen = generator_matrix(spec, truncation)
+        self._assert_matches_rates(spec, gen.index, gen)
+        assert rational_generator(spec, truncation) == _dense_from_rates(spec, gen.index, Fraction)
+
+    @settings(max_examples=30, deadline=None)
+    @given(chain=_jump_chains(), seed=st.integers(0, 2**32 - 1))
+    def test_index_in_any_order(self, chain, seed):
+        spec, truncation = chain
+        lexicographic = spec.index(truncation)
+        perm = np.random.default_rng(seed).permutation(len(lexicographic))
+        shuffled = processes.StateIndex(
+            d=lexicographic.d, N=lexicographic.N, mode=lexicographic.mode, array=lexicographic.array[perm]
+        )
+        self._assert_matches_rates(spec, shuffled, generator_matrix(spec, index=shuffled))
+
+    @settings(max_examples=30, deadline=None)
+    @given(chain=_jump_chains())
+    def test_one_state_rows_equal_the_batched_rows(self, chain):
+        # the pointwise checks read the batched rows; each equals its
+        # one-state view, so their residuals are those of a per-state read
+        spec, truncation = chain
+        states = spec.index(truncation).states
+        for num in (float, Fraction):
+            assert spec.transitions(states, num) == [spec.rates(k, num) for k in states]
+
+    def test_targets_outside_a_sparse_window_are_dropped(self):
+        # every other block count: each move lands outside the window, and a
+        # target's code must not alias a listed state
+        spec = kingman_block(0.5, 0.7, 20)
+        index = processes.StateIndex(d=1, N=20, mode="down-closed", array=np.arange(0, 21, 2)[::-1, None])
+        gen = generator_matrix(spec, index=index)
+        self._assert_matches_rates(spec, index, gen)
+        assert gen.Q.nnz == len(index)
+
+    def test_window_wider_than_one_int64_code(self):
+        # 32 sites padded to 4 digits each: 4**32 codes do not fit in int64
+        spec = sip(32, 1.0)
+        gen = generator_matrix(spec, 1)
+        self._assert_matches_rates(spec, gen.index, gen)
+        perm = np.random.default_rng(5).permutation(len(gen.index))
+        shuffled = processes.StateIndex(d=32, N=1, mode="conserved", array=gen.index.array[perm])
+        self._assert_matches_rates(spec, shuffled, generator_matrix(spec, index=shuffled))
+
+    def test_enumeration_is_lexicographic_and_read_only(self):
+        for d, N, mode in ((1, 4, "conserved"), (1, 4, "down-closed"), (3, 5, "conserved"), (4, 3, "down-closed")):
+            index = enumerate_states(d, N, mode)
+            want = sorted(
+                s for s in itertools.product(range(N + 1), repeat=d) if (sum(s) == N if mode == "conserved" else sum(s) <= N)
+            )
+            assert list(index.states) == want
+            assert not index.array.flags.writeable
+
+
+class TestBuildMemoryGuard:
+    """A build that would not fit in physical memory is refused before its arrays exist."""
+
+    def test_refused_before_the_moves_run(self, monkeypatch):
+        monkeypatch.setattr(processes, "_physical_memory", lambda: 1_000)
+        blocks = []
+        spec = sip(3, 1.0)
+        monkeypatch.setattr(
+            processes.Sip, "moves", lambda self, K, num=float: (blocks.append(len(K)), processes._inclusion_moves(K, 0.5, 0.5))[1]
+        )
+        for build in (lambda: generator_matrix(spec, 4), lambda: rational_generator(spec, 4)):
+            with pytest.raises(ValueError, match=r"15 states x 6 moves needs about \d+ bytes"):
+                build()
+        # only the empty block that names the moves ran
+        assert blocks == [0, 0]
+
+    def test_fitting_builds_run(self, monkeypatch):
+        monkeypatch.setattr(processes, "_physical_memory", lambda: 15 * 7 * processes._BUILD_BYTES)
+        assert len(generator_matrix(sip(3, 1.0), 4).index) == 15
+        monkeypatch.setattr(processes, "_physical_memory", lambda: None)
+        assert len(generator_matrix(sip(3, 1.0), 4).index) == 15
+
+
+class TestWindowMemo:
+    """Enumerated windows and their target columns are shared by value, within a byte budget."""
+
+    def test_repeated_enumerations_share_one_read_only_index(self):
+        index = enumerate_states(3, 7, "down-closed")
+        assert enumerate_states(3, 7, "down-closed") is index
+        with pytest.raises(TypeError):
+            index.pos[(0, 0, 0)] = 5
+        a, b = generator_matrix(moran_multitype(7, 4, 0.3)), generator_matrix(moran_multitype(7, 4, 0.9))
+        assert a.index is b.index is index
+
+    def test_memo_stays_within_its_budget(self, monkeypatch):
+        monkeypatch.setattr(processes, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(processes, "_memo_bytes", 0)
+        monkeypatch.setattr(processes, "_MEMO_BYTES", 100_000)
+        for N in range(5, 40, 5):
+            generator_matrix(sip(3, 1.0), N)
+            assert processes._memo_bytes <= processes._MEMO_BYTES
+            assert processes._memo_bytes == sum(size for _, size in processes._memo.values())
+        # the newest window is kept, the oldest went first
+        assert ("states", 3, 35, "conserved") in processes._memo
+        assert ("states", 3, 5, "conserved") not in processes._memo
+        gen = generator_matrix(sip(3, 1.0), 5)
+        TestBatchedAssembly._assert_matches_rates(sip(3, 1.0), gen.index, gen)
