@@ -461,7 +461,7 @@ class Bep(DiffusionModel):
         return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ordered pairs i != j of d sites, i-major, and the delta e_j - e_i of each."""
     i, j = np.nonzero(~np.eye(d, dtype=bool))
@@ -735,10 +735,10 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
             f"more than the {memory} bytes of physical memory"
         )
     deltas, rates = spec.moves(states if num is float else states.astype(object), num)
-    layout, firsts, repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
+    layout, (columns, firsts), repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
     taken = np.where(rates > 0, rates, num(0))
-    merged = taken[:, firsts]
-    merged[:, stay] = num(0)
+    merged = np.full((n, len(layout)), num(0), dtype=taken.dtype)
+    merged[:, list(columns)] = taken[:, list(firsts)]
     for k, c in repeats:
         merged[:, k] += taken[:, c]
     window = ("states", index.d, index.N, index.mode)
@@ -754,29 +754,27 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
 
 
 @lru_cache(maxsize=256)
-def _columns(deltas: tuple[tuple[int, ...], ...], d: int) -> tuple[np.ndarray, list[int], list[tuple[int, int]], int]:
+def _columns(deltas: tuple[tuple[int, ...], ...], d: int) -> tuple[np.ndarray, tuple, tuple, int]:
     """The columns of a move set: its distinct deltas and the zero one, in lexicographic order.
 
-    Returns the columns' deltas, the first move of each (any move for the
-    zero delta's column when no move has it), each later move with a
-    repeated delta as (column, move), and the zero delta's column.
+    Returns the columns' deltas; the column of each delta's first move and
+    that move, as two tuples; each later move with a repeated delta as
+    (column, move); and the zero delta's column.
     """
     stay = (0,) * d
     layout = sorted(set(deltas) | {stay})
     column = {delta: k for k, delta in enumerate(layout)}
-    firsts = [0] * len(layout)
+    first: dict[int, int] = {}
     repeats = []
-    seen = set()
     for c, delta in enumerate(deltas):
         k = column[delta]
-        if k in seen:
+        if k in first:
             repeats.append((k, c))
         else:
-            firsts[k] = c
-            seen.add(k)
+            first[k] = c
     layout = np.array(layout, dtype=np.int64)
     layout.flags.writeable = False
-    return layout, firsts, repeats, column[stay]
+    return layout, (tuple(first), tuple(first.values())), tuple(repeats), column[stay]
 
 
 def _row_sums(rates: np.ndarray) -> np.ndarray:

@@ -834,6 +834,14 @@ class TestBatchedAssembly:
         for num in (float, Fraction):
             assert spec.transitions(states, num) == [spec.rates(k, num) for k in states]
 
+    def test_a_chain_without_moves(self):
+        # alpha's pivot alone: the moment dual never jumps
+        spec = wf_general_1d({2: 0.0})
+        gen = generator_matrix(spec, 5)
+        self._assert_matches_rates(spec, gen.index, gen)
+        assert gen.Q.nnz == 6
+        assert rational_generator(spec, 5) == [[Fraction(0)] * 6 for _ in range(6)]
+
     def test_targets_outside_a_sparse_window_are_dropped(self):
         # every other block count: each move lands outside the window, and a
         # target's code must not alias a listed state
@@ -842,6 +850,14 @@ class TestBatchedAssembly:
         gen = generator_matrix(spec, index=index)
         self._assert_matches_rates(spec, index, gen)
         assert gen.Q.nnz == len(index)
+
+    def test_a_window_cut_inside_its_box(self):
+        # (2, 2) -> (1, 3) leaves the window through the last coordinate; an
+        # unpadded code would carry it onto (2, 0)
+        spec = stepping_stone_dual(((0.2, 0.8), (0.3, 0.7)))
+        states = [(x, y) for x in range(3) for y in range(3) if x + y <= 3]
+        index = processes.StateIndex(d=2, N=3, mode="down-closed", array=np.array(states))
+        self._assert_matches_rates(spec, index, generator_matrix(spec, index=index))
 
     def test_window_wider_than_one_int64_code(self):
         # 32 sites padded to 4 digits each: 4**32 codes do not fit in int64
