@@ -184,13 +184,14 @@ def _codes(states: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarr
     its rank among the states' codes.
     """
     moves = deltas.tolist()
+    lo = states.min(axis=0)
     radix = [
-        hi - lo + 1 + 2 * max((abs(move[c]) for move in moves), default=0)
-        for c, (lo, hi) in enumerate(zip(states.min(axis=0).tolist(), states.max(axis=0).tolist()))
+        hi - low + 1 + 2 * max((abs(move[c]) for move in moves), default=0)
+        for c, (low, hi) in enumerate(zip(lo.tolist(), states.max(axis=0).tolist()))
     ]
     if prod(radix) <= _CODE_LIMIT:
         weights = [prod(radix[c + 1 :]) for c in range(len(radix))]
-        own = states @ np.array(weights, dtype=np.int64)
+        own = (states - lo) @ np.array(weights, dtype=np.int64)
         steps = [sum(w * v for w, v in zip(weights, move)) for move in moves]
         return own, own[:, None] + np.array(steps, dtype=np.int64)
     half = len(radix) // 2
@@ -719,13 +720,13 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
     There is one column per distinct delta, in lexicographic order, the
     zero delta (staying put, column ``stay``) included, so each row of a
     lexicographically ordered index (the returned flag) lists its targets
-    by column.  Moves
-    with one delta add up in move order.  A rate is zero where no move is
-    taken: the model's rates are not positive, the target leaves the
-    window, or the column is the stay.
+    by column.  Moves with one delta add up in move order.  A rate is zero
+    where no move is taken: the model's rates are not positive, the target
+    leaves the window, or the column is the stay.
     """
     states = index.array
     n, d = states.shape
+    # the moves of an empty block count the moves before any (state, move) array exists
     deltas, _ = spec.moves(states[:0])
     need = n * (len(deltas) + 1) * _BUILD_BYTES
     memory = _physical_memory()
