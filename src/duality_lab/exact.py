@@ -13,10 +13,10 @@ through an exact polynomial-coefficient representation.  Pointwise identities
 ``L_x D(x, n) = K_n D(x, n)`` go through one engine,
 :func:`check_pointwise_duality`: a second-order side acts through its
 drift, covariance and potential on analytic partial derivatives of the
-duality function, and a jump side through its own rates, so no state
+duality function, and a jump side through its own moves, so no state
 space is enumerated or truncated; the duality functions are the catalog
 objects of :mod:`~duality_lab.dualities`.  The rational certification runs
-the models' rates and the algebra's builders with ``num=Fraction``.
+the models' moves and the algebra's builders with ``num=Fraction``.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -301,7 +301,7 @@ def moran_kingman_residual_exact(N: int) -> Fraction:
 
     All three matrices have rational entries, so a zero here certifies the
     identity outright rather than bounding floating-point error.  The
-    generators are the models' own rates, evaluated in ``Fraction``.
+    generators are the models' own moves, evaluated in ``Fraction``.
     """
     K, Khat = (processes.rational_generator(model) for model in moran_block_counting(N))
     D = algebra.falling_factorial_matrix(N, Fraction)
@@ -394,9 +394,10 @@ def check_pointwise_duality(
     drift ``b``, covariance ``a`` (a diffusion model's checked positive
     semidefinite) and optional potential ``gamma``, and acts as
     ``sum b_i d_i D + (1/2) sum a_ij d_ij D (+ gamma D)`` through the
-    duality's partials.  A jump model acts through its own rates,
-    ``sum rate (D(u, target) - D(u, w))``, so no state space is enumerated
-    or truncated; pass the model, not its ``generator_matrix``.
+    duality's partials.  A jump model acts through its own rates, read by
+    one ``moves`` call over the grid, as ``sum rate (D(u, target) - D(u,
+    w))``, so no state space is enumerated or truncated; pass the model,
+    not its ``generator_matrix``.
     """
     left_points, left_ops = _side_at(left, left_grid, "left", duality)
     right_points, right_ops = _side_at(right, right_grid, "right", duality)
