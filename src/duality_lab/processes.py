@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, floor, fsum, prod, sqrt
 from types import MappingProxyType
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
