@@ -16,7 +16,9 @@ Everything is a dense real matrix acting on coefficient (or function-value)
 vectors indexed ``0..M``.  Raising operators on the monomial basis overflow
 the top degree; the overflow row is dropped, so identity checks must exclude
 the truncation edge.  The finite-population builders take ``num``: float
-arrays, or exact ``Fraction`` nested lists.  All builders are pure and the
+arrays, or exact ``Fraction`` nested lists.  Exact checks multiply those as
+object arrays of Python ints over one common denominator (:func:`_scaled`),
+so numpy's products stay exact at any size.  All builders are pure and the
 returned arrays are treated as immutable.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 from scipy import sparse
@@ -285,15 +287,13 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
     elif fam == "heisenberg-finite-N":
         N = opset.N
         assert N is not None
-        low = _finite_lowering(N, Fraction)
-        rai = _finite_raising(N, Fraction)
-        D = falling_factorial_matrix(N, Fraction)
-        comm = _mat_sub(_mat_mul(low, rai), _mat_mul(rai, low))
-        # ([lower, raise] - I) annihilates the degree <= N-1 columns
-        resid = _mat_sub(_mat_mul(comm, D), D)
-        worst = max(
-            abs(resid[k][n]) for k in range(N + 1) for n in range(N)
+        (low, l), (rai, r), (D, dd) = (
+            _scaled(build(N, Fraction)) for build in (_finite_lowering, _finite_raising, falling_factorial_matrix)
         )
+        # ([lower, raise] - I) D over the denominator l r dd; it annihilates
+        # the degree <= N-1 columns
+        resid = (low @ rai - rai @ low) @ D - l * r * D
+        worst = Fraction(abs(resid[:, :N]).max(), l * r * dd)
         out.append(
             ResidualReport(
                 "([lower,raise] - I) on falling-factorial degrees 0..N-1",
@@ -384,26 +384,27 @@ def binomial_transform(f: np.ndarray, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# small exact-rational matrix helpers (shared with the exact engine)
+# exact rational matrices as integers over one denominator (shared with the
+# exact engine)
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(k):
-            a = Ai[j]
-            if a:
-                Bj = B[j]
-                row = out[i]
-                for l in range(m):
-                    if Bj[l]:
-                        row[l] += a * Bj[l]
-    return out
+def _scaled(rows: list[list[Fraction]]) -> tuple[np.ndarray, int]:
+    """Exact rational rows as ``(ints, den)`` with ``rows == ints / den``.
+
+    ``den`` is the least common multiple of the entries' denominators and
+    ``ints`` an object array of Python ints, so numpy's ``@``, ``-`` and
+    ``abs().max()`` on such arrays are exact at any size: no ``Fraction`` is
+    formed, and no gcd taken, per multiply-add.
+    """
+    flat = [x for row in rows for x in row]
+    dens = {x.denominator for x in flat}
+    den = lcm(*dens)
+    scale = {q: den // q for q in dens}
+    ints = np.array([x.numerator * scale[x.denominator] for x in flat], dtype=object)
+    return ints.reshape(len(rows), -1), den
 
 
-def _mat_sub(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def _fractions(ints: np.ndarray, den: int) -> list[list[Fraction]]:
+    """The nested ``Fraction`` rows of ``ints / den``."""
+    return [[Fraction(v, den) for v in row] for row in ints.tolist()]

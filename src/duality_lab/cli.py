@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from math import comb, inf, isfinite
 from pathlib import Path
 from typing import Iterator
@@ -234,7 +235,8 @@ def run_check_exact(cfg: dict) -> Iterator[dict]:
         yield _row("moran-kingman", "rational residual is exactly zero", f"N={N}", float(resid), 0.0)
         ladder = exact.moran_ladder_product_exact(N)
         direct = processes.rational_generator(exact.moran_block_counting(N)[0])
-        diff = max(abs(a - b) for ra, rb in zip(ladder, direct) for a, b in zip(ra, rb))
+        both, den = algebra._scaled(ladder + direct)
+        diff = Fraction(abs(both[: N + 1] - both[N + 1 :]).max(), den)
         yield _row("moran-kingman", "ladder product equals rate matrix (rational)", f"N={N}", float(diff), 0.0)
 
     for N in range(2, cfg["float_N_max"] + 1):

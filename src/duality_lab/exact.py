@@ -16,7 +16,8 @@ drift, covariance and potential on analytic partial derivatives of the
 duality function, and a jump side through its own moves, so no state
 space is enumerated or truncated; the duality functions are the catalog
 objects of :mod:`~duality_lab.dualities`.  The rational certification runs
-the models' moves and the algebra's builders with ``num=Fraction``.
+the models' moves and the algebra's builders with ``num=Fraction``, then
+multiplies their matrices as Python-int arrays over one common denominator.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -280,11 +281,10 @@ def check_generator_duality(
 
 def moran_ladder_product_exact(N: int) -> list[list[Fraction]]:
     """The Moran generator assembled as raise (1 - raise) lower^2, exact."""
-    low = algebra._finite_lowering(N, Fraction)
-    rai = algebra._finite_raising(N, Fraction)
-    eye = [[Fraction(int(i == j)) for j in range(N + 1)] for i in range(N + 1)]
-    low2 = algebra._mat_mul(low, low)
-    return algebra._mat_mul(algebra._mat_mul(rai, algebra._mat_sub(eye, rai)), low2)
+    (low, l), (rai, r) = (algebra._scaled(build(N, Fraction)) for build in (algebra._finite_lowering, algebra._finite_raising))
+    # with raise = rai / r and lower = low / l, over the denominator (r l)^2
+    eye = np.identity(N + 1, dtype=object)
+    return algebra._fractions(rai @ (r * eye - rai) @ low @ low, (r * l) ** 2)
 
 
 def moran_block_counting(N: int) -> tuple[processes.MoranMultitype, processes.KingmanBlock]:
@@ -304,10 +304,11 @@ def moran_kingman_residual_exact(N: int) -> Fraction:
     generators are the models' own moves, evaluated in ``Fraction``.
     """
     K, Khat = (processes.rational_generator(model) for model in moran_block_counting(N))
-    D = algebra.falling_factorial_matrix(N, Fraction)
-    KhatT = [[Khat[j][i] for j in range(N + 1)] for i in range(N + 1)]
-    resid = algebra._mat_sub(algebra._mat_mul(K, D), algebra._mat_mul(D, KhatT))
-    return max(abs(v) for row in resid for v in row)
+    # both generators over one denominator k, D over dd
+    both, k = algebra._scaled(K + Khat)
+    K, Khat = both[: N + 1], both[N + 1 :]
+    D, dd = algebra._scaled(algebra.falling_factorial_matrix(N, Fraction))
+    return Fraction(abs(K @ D - D @ Khat.T).max(), k * dd)
 
 
 # ---------------------------------------------------------------------------

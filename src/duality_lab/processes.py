@@ -712,6 +712,9 @@ def _physical_memory() -> int | None:
 # the rates, codes, masks and CSR arrays together peak at 47-54 (traced with
 # tracemalloc on chains of 500 to 6,000 states)
 _BUILD_BYTES = 64
+# moves per model, by its ``moves`` function and its (frozen) fields: the
+# count sizes the memory guard, and counting costs a ``moves`` call
+_move_counts: dict[tuple[Callable, JumpModel], int] = {}
 
 
 def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -726,15 +729,20 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
     """
     states = index.array
     n, d = states.shape
-    # the moves of an empty block count the moves before any (state, move) array exists
-    deltas, _ = spec.moves(states[:0])
-    need = n * (len(deltas) + 1) * _BUILD_BYTES
+    key = (type(spec).moves, spec)
+    count = _move_counts.get(key)
+    if count is None:
+        # the moves of an empty block count the moves before any (state, move) array exists
+        count = len(spec.moves(states[:0])[0])
+    need = n * (count + 1) * _BUILD_BYTES
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise ValueError(
-            f"the generator of {n} states x {len(deltas)} moves needs about {need} bytes, "
+            f"the generator of {n} states x {count} moves needs about {need} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
+    # kept once a build is admitted, so only models that are built are held
+    _move_counts[key] = count
     deltas, rates = spec.moves(states if num is float else states.astype(object), num)
     layout, (columns, firsts), repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
     taken = np.where(rates > 0, rates, num(0))

@@ -314,3 +314,57 @@ class TestExactRationalHelpers:
         (report,) = algebra.check_commutation_relations(rep)
         assert report.max_abs_residual == 0.0
         assert isinstance(algebra._finite_raising(4, Fraction)[2][1], Fraction)
+
+    def test_exact_commutator_identity_at_forty(self):
+        # the raising operator's integers and the residual's denominator
+        # pass 2^63, so no int64 or float product could certify this
+        rai, r = algebra._scaled(algebra._finite_raising(40, Fraction))
+        dd = algebra._scaled(algebra.falling_factorial_matrix(40, Fraction))[1]
+        assert abs(rai).max() > 2**63 and r * dd > 2**63
+        rep = algebra.build_representation("heisenberg-finite-N", 40, N=40)
+        (report,) = algebra.check_commutation_relations(rep)
+        assert report.max_abs_residual == 0.0
+
+
+def _fraction_product(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)] for row in A]
+
+
+@st.composite
+def _rational_chain(draw):
+    """Three rational matrices of chained shapes (n, k), (k, m), (m, p), some rows zero."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=4))
+    entries = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    chain = []
+    for rows, cols in zip(sizes, sizes[1:]):
+        mat = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        chain.append([[Fraction(0)] * cols if z else row for row, z in zip(mat, zero)])
+    return chain
+
+
+class TestScaledIntegers:
+    """Exact rational matrices held as Python ints over one common denominator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=_rational_chain())
+    def test_products_and_differences_equal_the_fraction_reference(self, chain):
+        A, B, C = chain
+        (a, da), (b, db), (c, dc) = (algebra._scaled(M) for M in chain)
+        for M, (ints, den) in zip(chain, ((a, da), (b, db), (c, dc))):
+            assert algebra._fractions(ints, den) == M
+        want = _fraction_product(_fraction_product(A, B), C)
+        assert algebra._fractions(a @ b @ c, da * db * dc) == want
+        # a difference needs both operands over one denominator
+        other = [[-v / 3 + 1 for v in row] for row in A]
+        both, den = algebra._scaled(A + other)
+        diff = both[: len(A)] - both[len(A) :]
+        want = [[x - y for x, y in zip(r, s)] for r, s in zip(A, other)]
+        assert algebra._fractions(diff, den) == want
+        assert Fraction(abs(diff).max(), den) == max(abs(v) for row in want for v in row)
+
+    def test_common_denominator_is_the_least(self):
+        ints, den = algebra._scaled([[Fraction(1, 6), Fraction(-3, 4)], [Fraction(0), Fraction(5)]])
+        assert den == 12
+        assert ints.dtype == object and ints.tolist() == [[2, -9], [0, 60]]
+        assert all(type(v) is int for v in ints.flat)

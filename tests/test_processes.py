@@ -894,6 +894,22 @@ class TestBuildMemoryGuard:
         # only the empty block that names the moves ran
         assert blocks == [0, 0]
 
+    def test_moves_counted_once_per_model(self, monkeypatch):
+        blocks = []
+        moves = processes.KingmanBlock.moves
+
+        def counted(self, K, num=float):
+            blocks.append(len(K))
+            return moves(self, K, num)
+
+        monkeypatch.setattr(processes.KingmanBlock, "moves", counted)
+        for _ in range(2):
+            # equal models built apart share one count, in float and Fraction
+            generator_matrix(kingman_block(theta=0.3, n_max=7))
+            rational_generator(kingman_block(theta=0.3, n_max=7))
+        generator_matrix(kingman_block(theta=0.4, n_max=7))
+        assert blocks == [0, 8, 8, 8, 8, 0, 8]
+
     def test_fitting_builds_run(self, monkeypatch):
         monkeypatch.setattr(processes, "_physical_memory", lambda: 15 * 7 * processes._BUILD_BYTES)
         assert len(generator_matrix(sip(3, 1.0), 4).index) == 15
