@@ -281,7 +281,8 @@ def check_generator_duality(
 
 def moran_ladder_product_exact(N: int) -> list[list[Fraction]]:
     """The Moran generator assembled as raise (1 - raise) lower^2, exact."""
-    (low, l), (rai, r) = (algebra._scaled(build(N, Fraction)) for build in (algebra._finite_lowering, algebra._finite_raising))
+    low, l = algebra._scaled(algebra._finite_lowering(N, Fraction))
+    rai, r = algebra._scaled(algebra._finite_raising(N, Fraction))
     # with raise = rai / r and lower = low / l, over the denominator (r l)^2
     eye = np.identity(N + 1, dtype=object)
     return algebra._fractions(rai @ (r * eye - rai) @ low @ low, (r * l) ** 2)

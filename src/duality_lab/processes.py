@@ -713,7 +713,9 @@ def _physical_memory() -> int | None:
 # tracemalloc on chains of 500 to 6,000 states)
 _BUILD_BYTES = 64
 # moves per model, by its ``moves`` function and its (frozen) fields: the
-# count sizes the memory guard, and counting costs a ``moves`` call
+# count sizes the memory guard, and counting costs a ``moves`` call; the
+# oldest go past this many models
+_MOVE_COUNTS_HELD = 256
 _move_counts: dict[tuple[Callable, JumpModel], int] = {}
 
 
@@ -743,6 +745,8 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
         )
     # kept once a build is admitted, so only models that are built are held
     _move_counts[key] = count
+    if len(_move_counts) > _MOVE_COUNTS_HELD:
+        del _move_counts[next(iter(_move_counts))]
     deltas, rates = spec.moves(states if num is float else states.astype(object), num)
     layout, (columns, firsts), repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
     taken = np.where(rates > 0, rates, num(0))

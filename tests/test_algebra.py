@@ -350,9 +350,9 @@ class TestScaledIntegers:
     @given(chain=_rational_chain())
     def test_products_and_differences_equal_the_fraction_reference(self, chain):
         A, B, C = chain
-        (a, da), (b, db), (c, dc) = (algebra._scaled(M) for M in chain)
-        for M, (ints, den) in zip(chain, ((a, da), (b, db), (c, dc))):
-            assert algebra._fractions(ints, den) == M
+        scaled = [algebra._scaled(M) for M in chain]
+        assert [algebra._fractions(*s) for s in scaled] == chain
+        (a, da), (b, db), (c, dc) = scaled
         want = _fraction_product(_fraction_product(A, B), C)
         assert algebra._fractions(a @ b @ c, da * db * dc) == want
         # a difference needs both operands over one denominator
