@@ -49,7 +49,6 @@ __all__ = [
     "evaluate_at",
     "cheap_self_duality",
     "transform_by_symmetry",
-    "hermite_value",
     "KINDS",
 ]
 
@@ -108,11 +107,6 @@ def _hermite_scaled(n: int, x: float) -> tuple[float, int]:
         if abs(cur) > _HERMITE_SCALE:
             prev, cur, s = prev / _HERMITE_SCALE, cur / _HERMITE_SCALE, s + 512
     return cur, s
-
-
-def hermite_value(n: int, x: float) -> float:
-    """H_n(x) in the physicists' convention; ``OverflowError`` past the double range."""
-    return ldexp(*_hermite_scaled(n, x))
 
 
 class _Duality:

@@ -2,12 +2,17 @@
 
 Everything here is deterministic.  Expectations over finite chains go
 through the action of the matrix exponential on the given columns, by one
-of two methods chosen from the input (see
-:func:`matrix_exponential_apply`): scipy's dense scaling-and-squaring with
-Pade approximants (``expm``), or uniformization of the sparse generator
-(Jensen 1953), a Poisson-weighted sum of powers of the nonnegative matrix
-P = I + Q / Lambda.  Both work to the double-precision unit roundoff; the
-second runs about 100 times faster on a 1,771-state inclusion sector.
+of three methods chosen from the input (see
+:func:`matrix_exponential_apply`).  Columns that span a subspace the
+generator leaves invariant, as a duality matrix's do, are exponentiated
+on that span, the "happy breakdown" of a Krylov method (Saad 1992), once
+an error estimate confirms it.  Other columns go to scipy's dense
+scaling-and-squaring with Pade approximants (``expm``), or to
+uniformization of the sparse generator (Jensen 1953), a Poisson-weighted
+sum of powers of the nonnegative matrix P = I + Q / Lambda.  The last two
+work to the double-precision unit roundoff; uniformization runs about 100
+times faster than ``expm`` on a 1,771-state inclusion sector, and the
+invariant-subspace route about 20 times faster again on its duality block.
 Generator dualities are checked as matrix identities, or for diffusions
 through an exact polynomial-coefficient representation.  Pointwise identities
 ``L_x D(x, n) = K_n D(x, n)`` go through one engine,
@@ -61,7 +66,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactExpectation:
-    """An exactly computed expectation, with provenance."""
+    """An exactly computed expectation, with provenance.
+
+    ``method`` is the branch of :func:`matrix_exponential_apply` that
+    computed it: ``"invariant-subspace"``, ``"uniformization"`` or
+    ``"matrix-exponential"`` (dense ``expm``).
+    """
 
     value: float
     method: str
@@ -87,10 +97,18 @@ def _as_matrix(Q: GeneratorMatrix | np.ndarray) -> np.ndarray | sparse.csr_array
     return np.asarray(Q, dtype=float)
 
 
-# uniformization never runs below this many states: below this size the
-# two branches tie at best (0.95 against 0.97 ms on the 91-state d = 3
-# Moran chain)
-_UNIFORMIZATION_MIN_STATES = 128
+# neither uniformization nor the invariant-subspace route runs below this
+# many states: below this size uniformization and dense expm tie at best
+# (0.95 against 0.97 ms on the 91-state d = 3 Moran chain)
+_SPARSE_MIN_STATES = 128
+# the invariant-subspace route is tried on blocks with at most one column
+# per this many states
+_STATES_PER_SUBSPACE_COLUMN = 16
+# the route's error estimate must stay within this share of each column's
+# norm, the bar the tests hold uniformization to
+_SUBSPACE_TOL = 1e-12
+# the estimate samples s = t j / _SUBSPACE_STEPS, j = 0, ..., _SUBSPACE_STEPS
+_SUBSPACE_STEPS = 4
 # the fixed cost of one sparse product (about 6 us of scipy call overhead),
 # in flops of the cost rule; the measured crossover table is in CHANGES.md
 _PRODUCT_FLOPS = 10_000
@@ -104,14 +122,26 @@ def _max_exit_rate(M: np.ndarray | sparse.csr_array) -> float:
     return float(-M.diagonal().min(initial=0.0))
 
 
+def _is_sub_generator(M: np.ndarray | sparse.csr_array) -> bool:
+    """Off-diagonal entries >= 0 and rows summing to <= 0.
+
+    A generator matrix is one by construction; an array is checked.  Then
+    exp(tM) is nonnegative with rows summing to <= 1, so it does not grow
+    the infinity norm, nor exp(tM^T) the 1-norm.
+    """
+    if sparse.issparse(M):
+        return True
+    off = M - np.diag(M.diagonal())
+    return not ((off < 0).any() or (M.sum(axis=1) > 1e-12 * max(1.0, float(np.abs(M).max()))).any())
+
+
 def _prefers_uniformization(M: np.ndarray | sparse.csr_array, t: float, cols: int) -> bool:
     """True when uniformization should beat dense ``expm`` on ``exp(tM) B``.
 
     ``cols`` counts the columns of ``B``.  Uniformization needs a
-    sub-generator: off-diagonal entries >= 0, so that P = I + M / Lambda is
-    nonnegative, and rows summing to <= 0, so that no power of P grows and
-    the truncated Poisson tail bounds the error.  A generator matrix is one
-    by construction; an array is checked.
+    sub-generator (:func:`_is_sub_generator`), so that P = I + M / Lambda
+    is nonnegative, no power of P grows and the truncated Poisson tail
+    bounds the error.
 
     Dense ``expm`` costs about n^3 flops whatever the entries.
     Uniformization takes about ``x + 9 sqrt(x)`` products of P, with
@@ -121,12 +151,8 @@ def _prefers_uniformization(M: np.ndarray | sparse.csr_array, t: float, cols: in
     states, while the sparse inclusion-process sectors are uniformized.
     """
     n = M.shape[0]
-    if n < _UNIFORMIZATION_MIN_STATES:
+    if n < _SPARSE_MIN_STATES or not _is_sub_generator(M):
         return False
-    if not sparse.issparse(M):
-        off = M - np.diag(M.diagonal())
-        if (off < 0).any() or (M.sum(axis=1) > 1e-12 * max(1.0, float(np.abs(M).max()))).any():
-            return False
     x = _max_exit_rate(M) * t
     nnz = M.nnz if sparse.issparse(M) else np.count_nonzero(M)
     return (x + 9.0 * sqrt(x)) * (nnz * cols + _PRODUCT_FLOPS) < n**3
@@ -184,6 +210,79 @@ def _uniformized(M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, tran
     return out
 
 
+def _orthonormal_rows(B: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal rows spanning ``B``'s rows, by Gram-Schmidt with pivoting.
+
+    Each step takes the row farthest from the span so far, projects it off
+    that span a second time ("twice is enough") and normalises it.  It
+    stops once every row lies within ``cutoff`` (2-norm) of the span, so a
+    row that another row or combination nearly equals adds no direction of
+    rounding noise.
+    """
+    rest = B.copy()
+    W = np.empty_like(rest)
+    r = 0
+    while r < len(rest):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        j = int(norms.argmax())
+        if not norms[j] > cutoff * cutoff:
+            break
+        q = rest[j] / sqrt(norms[j])
+        q -= (W[:r] @ q) @ W[:r]
+        q /= sqrt(q @ q)
+        W[r] = q
+        rest -= np.outer(rest @ q, q)
+        r += 1
+    return W[:r]
+
+
+def _invariant_subspace(
+    M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, transpose: bool
+) -> np.ndarray | None:
+    """``exp(tM) v`` on the span of ``v``'s columns, or None where that span is not invariant enough.
+
+    With W an orthonormal basis of the span, H = W^T M W and E = M W - W H,
+    the result is W exp(tH) W^T v.  Its error is
+    ``exp(tM) (v - W W^T v) + int_0^t exp((t-s)M) E exp(sH) W^T v ds``,
+    and exp(tM) of a sub-generator does not grow the infinity norm, so
+    ``|v - W W^T v| + t max_s |E exp(sH) W^T v|`` estimates it column by
+    column, the max taken over a few nodes s in [0, t].  With
+    ``transpose`` M^T stands for M and the norm is the 1-norm, which
+    exp(tM^T) does not grow.  The result is returned when every column's
+    estimate is within ``_SUBSPACE_TOL`` times that column's norm: as for
+    a duality block D, whose columns span an invariant subspace since
+    K D = D K_hat^T, together with the constants.
+
+    The blocks are held transposed, one vector per contiguous row, as each
+    norm reduces along a vector: numpy reduces an n x 4 array along its
+    rows some ten times slower.
+    """
+
+    def norm(Xt):
+        return np.abs(Xt).sum(axis=1) if transpose else np.abs(Xt).max(axis=1)
+
+    Bt = np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
+    tol = _SUBSPACE_TOL * norm(Bt)
+    # a direction dropped here counts in the estimate below
+    Wt = _orthonormal_rows(Bt, 0.5 * float(tol.max()))
+    if len(Wt) == 0:
+        return None
+    MW = (M.T if transpose else M) @ Wt.T
+    H = Wt @ MW
+    Et = MW.T - H.T @ Wt
+    yt = Bt @ Wt.T
+    err = norm(Bt - yt @ Wt)
+    # s = 0 comes first, so a span that is not invariant costs no expm
+    if not (err + t * norm(yt @ Et) <= tol).all():
+        return None
+    step = expm((t / _SUBSPACE_STEPS) * H).T
+    for _ in range(_SUBSPACE_STEPS):
+        yt = yt @ step
+        if not (err + t * norm(yt @ Et) <= tol).all():
+            return None
+    return (Wt.T @ yt.T).reshape(v.shape)
+
+
 def _exponential_action(
     Q: GeneratorMatrix | np.ndarray, v: np.ndarray, t: float, transpose: bool
 ) -> tuple[np.ndarray, str]:
@@ -194,11 +293,21 @@ def _exponential_action(
     v = np.asarray(v, dtype=float)
     if M.shape[0] != M.shape[1] or M.shape[1] != v.shape[0]:
         raise ValueError("dimension mismatch")
-    if _prefers_uniformization(M, t, 1 if v.ndim == 1 else v.shape[1]):
+    n = M.shape[0]
+    cols = 1 if v.ndim == 1 else v.shape[1]
+    if (
+        n >= _SPARSE_MIN_STATES
+        and 0 < cols * _STATES_PER_SUBSPACE_COLUMN <= n
+        and _max_exit_rate(M) * t > 0
+        and _is_sub_generator(M)
+    ):
+        out = _invariant_subspace(M, v, t, transpose)
+        if out is not None:
+            return out, "invariant-subspace"
+    if _prefers_uniformization(M, t, cols):
         return _uniformized(M, v, t, transpose), "uniformization"
     if t == 0:
         return v.copy(), "matrix-exponential"
-    n = M.shape[0]
     need = _DENSE_EXPM_ARRAYS * 8 * n * n
     memory = processes._physical_memory()
     if memory is not None and need > memory:
@@ -220,6 +329,17 @@ def matrix_exponential_apply(
 ) -> np.ndarray:
     """Return ``expm(t Q) v`` (or ``expm(t Q^T) v`` with ``transpose``).
 
+    On a sub-generator with n >= 128 states, ``Lambda t > 0`` and at most
+    one column of ``v`` per 16 states, the invariant-subspace route is
+    tried first: with W an orthonormal basis of the span of ``v``'s
+    columns, H = W^T Q W and E = Q W - W H, it returns
+    ``W expm(tH) W^T v`` when the error estimate
+    ``|v - W W^T v| + t max_s |E expm(sH) W^T v|``, over five nodes s in
+    [0, t], is within 1e-12 of each column's infinity norm (its 1-norm
+    with ``transpose``).  That holds when the columns span an invariant
+    subspace, as a duality block does.  Every other call, and every call
+    below 128 states, takes one of the two branches below.
+
     The method follows a cost rule on the input.  With n states, nnz
     stored entries, ``cols`` columns in ``v`` and ``x = Lambda t``, Lambda
     the largest exit rate, ``Q`` is uniformized when it is a sub-generator
@@ -230,8 +350,8 @@ def matrix_exponential_apply(
     counted with its fixed overhead, the second that of dense scaling and
     squaring.  Size alone would be the wrong rule: a 401-state block
     counting chain runs some 18x slower uniformized because its rates are
-    large, while a 1,771-state inclusion sector runs 100x faster.  Both
-    branches work to the double-precision unit roundoff.  Before a dense
+    large, while a 1,771-state inclusion sector runs 100x faster.  These
+    two branches work to the double-precision unit roundoff.  Before a dense
     exponential whose working set (about ten n x n float64 arrays) exceeds
     physical memory, a ``ValueError`` is raised instead of allocating.
     """
@@ -247,8 +367,10 @@ def exact_expectation(
     """E_{k0} f(X_t) for the chain with generator ``gen``.
 
     ``method`` names the branch of :func:`matrix_exponential_apply` that
-    computed the value: ``"matrix-exponential"`` (dense ``expm``) or
-    ``"uniformization"``.
+    computed the value: ``"invariant-subspace"`` (``f`` spans a subspace
+    the generator leaves invariant, such as the constants, on a chain of
+    at least 128 states), ``"uniformization"`` or ``"matrix-exponential"``
+    (dense ``expm``).
     """
     state = tuple(int(v) for v in k0)
     try:

@@ -18,12 +18,11 @@ states fills a sparse (CSR) rate matrix, :func:`generator_matrix`, through
 numpy alone: every chain here moves one particle or one count per jump, so
 a row holds a handful of rates however many states there are.  Run on an
 object array with ``num=Fraction``, the same code gives the exact rational
-generator, :func:`rational_generator`; ``rates(state, num)`` is its
-one-state view and ``transitions(states, num)`` its per-state lists, which
-the pointwise checks read.  The jump sampler, :func:`sample_jump`,
-uniformizes the chain and steps every path of a call at once through
-padded per-state tables of targets and cumulative rates read off the CSR
-rows.  A :class:`DiffusionModel` gives its drift and covariance on a batch
+generator, :func:`rational_generator`; ``transitions(states, num)`` gives
+its per-state lists, which the pointwise checks read.  The jump sampler,
+:func:`sample_jump`, uniformizes the chain and steps every path of a call
+at once through padded per-state tables of targets and cumulative rates
+read off the CSR rows.  A :class:`DiffusionModel` gives its drift and covariance on a batch
 of states, ``coefficients(x)``, and its domain; :func:`diffusion_endpoints`
 runs seeded Euler-Maruyama paths from a checked start.  ``wf_general_1d``
 is both: a diffusion and, through its rates, its moment dual chain.  Models
@@ -260,10 +259,6 @@ class JumpModel:
             [(tuple(target), rate) for target, rate in zip(row_targets, row_rates) if rate > 0]
             for row_targets, row_rates in zip(targets, rates.tolist())
         ]
-
-    def rates(self, k: Sequence[int], num: type = float) -> Transitions:
-        """The transitions out of state ``k`` with their positive rates: one row of ``moves``."""
-        return self.transitions([k], num)[0]
 
 
 class DiffusionModel:
@@ -795,9 +790,13 @@ def _row_sums(rates: np.ndarray) -> np.ndarray:
 
     The left-to-right sum is exact, so correctly rounded, in every row
     where none of its additions rounds (TwoSum's error term is zero); the
-    rows where one does go through ``fsum``.
+    rows where one does go through ``fsum``.  Where no row has more than
+    two nonzero rates, each sum has at most one rounded addition and is
+    returned without the scan: every two-move chain.
     """
     total = np.cumsum(rates, axis=1)
+    if (rates != 0).sum(axis=1).max(initial=0) <= 2:
+        return total[:, -1]
     prev, new, s = total[:, :-1], rates[:, 1:], total[:, 1:]
     back = s - prev
     rounded = ((prev - (s - back)) + (new - back)).any(axis=1)

@@ -2,7 +2,7 @@
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import comb, exp
+from math import comb, exp, lgamma
 
 import numpy as np
 import pytest
@@ -90,6 +90,13 @@ def _sip_cross_sector(d, N, n=2, m=1.0):
     return K, Kh, exact.sip_self_duality_matrix(K.index, Kh.index, m)
 
 
+def _middle_indicator(n):
+    """The indicator of the middle state: a vector whose span no test chain leaves invariant."""
+    v = np.zeros(n)
+    v[n // 2] = 1.0
+    return v
+
+
 class TestOracleSelection:
     """The cost rule picks uniformization or dense from size, rates and sparsity of the input."""
 
@@ -98,7 +105,15 @@ class TestOracleSelection:
     def test_sparse_sip_sectors_are_uniformized(self, d, N, t):
         gen = processes.generator_matrix(processes.sip(d, 1.0), truncation=N)
         assert exact._prefers_uniformization(gen.Q, t, 11)
-        out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[0], t)
+        # swapping the first two sites fixes the start (0, ..., 0, N) and
+        # exchanges a and b, so E f(X_t) is still 1, yet f spans no invariant line
+        start = gen.index.states[0]
+        a, b = list(start), list(start)
+        a[0], a[-1], b[1], b[-1] = 1, N - 1, 1, N - 1
+        f = np.ones(len(gen.index))
+        f[gen.index.pos[tuple(a)]] += 1.0
+        f[gen.index.pos[tuple(b)]] -= 1.0
+        out = exact_expectation(gen, f, start, t)
         assert out.method == "uniformization"
         assert out.value == pytest.approx(1.0, abs=1e-12)
 
@@ -115,7 +130,7 @@ class TestOracleSelection:
     def test_small_or_stiff_chains_stay_dense(self, spec, truncation, t):
         gen = processes.generator_matrix(spec, truncation)
         assert not exact._prefers_uniformization(gen.Q, t, 1)
-        out = exact_expectation(gen, np.ones(len(gen.index)), gen.index.states[-1], t)
+        out = exact_expectation(gen, _middle_indicator(len(gen.index)), gen.index.states[-1], t)
         assert out.method == "matrix-exponential"
 
     @pytest.mark.parametrize("d, N", [(3, 30), (4, 16), (4, 20)])
@@ -150,12 +165,12 @@ class TestOracleSelection:
         gen = processes.generator_matrix(processes.kingman_block(n_max=300))
         monkeypatch.setattr(processes, "_physical_memory", lambda: 1_000_000)
         with pytest.raises(ValueError, match="dense matrix exponential of 301 states needs about"):
-            matrix_exponential_apply(gen, np.ones(len(gen.index)), 1.0)
+            matrix_exponential_apply(gen, _middle_indicator(len(gen.index)), 1.0)
 
     def test_dense_beyond_physical_memory_is_refused(self):
         gen = processes.generator_matrix(processes.kingman_block(n_max=200_000))
         with pytest.raises(ValueError, match="needs about .* bytes"):
-            matrix_exponential_apply(gen, np.ones(len(gen.index)), 1.0)
+            matrix_exponential_apply(gen, _middle_indicator(len(gen.index)), 1.0)
 
 
 class TestUniformization:
@@ -248,11 +263,12 @@ class TestUniformization:
     def test_negative_off_diagonal_goes_dense(self):
         gen = processes.generator_matrix(processes.sip(3, 1.0), truncation=20)
         Q = gen.Q.toarray()
-        assert exact._exponential_action(Q, np.ones(len(Q)), 0.5, False)[1] == "uniformization"
+        v = _middle_indicator(len(Q))
+        assert exact._exponential_action(Q, v, 0.5, False)[1] == "uniformization"
         Q[0, 1] -= 2.0 * Q[0, 1] + 1.0
-        got, method = exact._exponential_action(Q, np.ones(len(Q)), 0.5, False)
+        got, method = exact._exponential_action(Q, v, 0.5, False)
         assert method == "matrix-exponential"
-        assert np.array_equal(got, scipy.linalg.expm(0.5 * Q) @ np.ones(len(Q)))
+        assert np.array_equal(got, scipy.linalg.expm(0.5 * Q) @ v)
 
     def test_positive_row_sum_goes_dense(self):
         gen = processes.generator_matrix(processes.sip(3, 1.0), truncation=20)
@@ -278,6 +294,56 @@ class TestUniformization:
         assert 1 - sum(kept) < unit
         want = np.array([float(p / sum(kept)) for p in kept])
         assert np.abs(weights - want).max() <= 1e-14 * want.max()
+
+
+class TestInvariantSubspace:
+    """A block whose span the generator leaves invariant is exponentiated on that span, within 1e-12 of max|v|."""
+
+    @staticmethod
+    def _assert_matches_uniformized(K, B, t, method, transpose=False):
+        got, used = exact._exponential_action(K, B, t, transpose)
+        assert used == method
+        want = exact._uniformized(K.Q, B, t, transpose)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(B).max()
+        return got
+
+    @pytest.mark.parametrize(
+        "d, N, rank",
+        [(3, 30, 6), (4, 16, 10), (4, 20, 10), (5, 14, 15)],
+        ids=["496-states", "969-states", "1771-states", "3060-states"],
+    )
+    def test_duality_blocks_with_the_constants(self, d, N, rank):
+        # the constants lie in the span of D, so the pivoted basis drops a direction
+        K, _, D = _sip_cross_sector(d, N)
+        B = np.column_stack([D, np.ones(len(K.index))])
+        assert len(exact._orthonormal_rows(B.T, 1e-12 * np.abs(B).max())) == rank == B.shape[1] - 1
+        got = self._assert_matches_uniformized(K, B, 0.5, "invariant-subspace")
+        assert np.abs(got[:, -1] - 1.0).max() <= 1e-12
+
+    def test_perturbed_column_falls_back(self):
+        K, _, D = _sip_cross_sector(3, 30)
+        D[:, 2] *= 1.0 + 1e-6 * np.random.default_rng(9).random(len(K.index))
+        self._assert_matches_uniformized(K, D, 0.5, "uniformization")
+
+    def test_random_block_falls_back(self):
+        K, _, _ = _sip_cross_sector(3, 30)
+        B = np.random.default_rng(10).random((len(K.index), 4))
+        self._assert_matches_uniformized(K, B, 0.5, "uniformization")
+
+    def test_stationary_distribution_under_transpose(self):
+        # the reversible measure prod_i Gamma(m/2 + k_i) / k_i! spans the kernel of K^T
+        K, _, _ = _sip_cross_sector(3, 30)
+        logs = [sum(lgamma(0.5 + k) - lgamma(1 + k) for k in state) for state in K.index.states]
+        pi = np.exp(np.array(logs) - max(logs))
+        pi /= pi.sum()
+        got = self._assert_matches_uniformized(K, pi, 0.5, "invariant-subspace", transpose=True)
+        assert np.abs(got - pi).max() <= 1e-12 * pi.max()
+
+    def test_constants_skip_the_dense_memory_guard(self):
+        gen = processes.generator_matrix(processes.kingman_block(n_max=200_000))
+        got, method = exact._exponential_action(gen, np.ones(len(gen.index)), 1.0, False)
+        assert method == "invariant-subspace"
+        assert np.abs(got - 1.0).max() <= 1e-12
 
 
 class TestLargeSectors:
@@ -547,7 +613,7 @@ def _reference_stepping_stone_residual(kernel, x_points, n_points):
             lhs += 0.5 * sum(ax[i, j] * _reference_mono_partial(x, n, i, j) for i in sites for j in sites if ax[i, j])
             base = _reference_mono(x, n)
             rhs = 0.0
-            for target, rate in dual.rates(tuple(n)):
+            for target, rate in dual.transitions([tuple(n)])[0]:
                 rhs += rate * (_reference_mono(x, target) - base)
             worst = max(worst, abs(lhs - rhs))
     return worst

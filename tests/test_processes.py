@@ -743,7 +743,7 @@ class TestPathRng:
 
 
 def _dense_from_rates(spec, index, num):
-    """The generator over ``index`` assembled state by state from ``rates(k, num)``.
+    """The generator over ``index`` assembled state by state from ``transitions([k], num)``.
 
     A target outside ``index`` is dropped, rates to one target add up in
     the order listed, and the diagonal is minus the row's sum: ``fsum`` in
@@ -753,7 +753,7 @@ def _dense_from_rates(spec, index, num):
     Q = [[num(0)] * n for _ in range(n)]
     for i, k in enumerate(index.states):
         row = {}
-        for target, rate in spec.rates(k, num):
+        for target, rate in spec.transitions([k], num)[0]:
             j = index.pos.get(target)
             if j is not None:
                 row[j] = row[j] + rate if j in row else rate
@@ -832,7 +832,7 @@ class TestBatchedAssembly:
         spec, truncation = chain
         states = spec.index(truncation).states
         for num in (float, Fraction):
-            assert spec.transitions(states, num) == [spec.rates(k, num) for k in states]
+            assert spec.transitions(states, num) == [spec.transitions([k], num)[0] for k in states]
 
     def test_a_chain_without_moves(self):
         # alpha's pivot alone: the moment dual never jumps
