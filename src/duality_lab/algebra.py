@@ -15,11 +15,12 @@ Two algebras are covered:
 Everything is a dense real matrix acting on coefficient (or function-value)
 vectors indexed ``0..M``.  Raising operators on the monomial basis overflow
 the top degree; the overflow row is dropped, so identity checks must exclude
-the truncation edge.  The finite-population builders take ``num``: float
-arrays, or exact ``Fraction`` nested lists.  Exact checks multiply those as
-object arrays of Python ints over one common denominator (:func:`_scaled`),
-so numpy's products stay exact at any size.  All builders are pure and the
-returned arrays are treated as immutable.
+the truncation edge.  The finite-population builders are exact: each
+returns ``(ints, den)``, an object array of Python ints over one common
+denominator, so numpy's products on it stay exact at any size.  Their float
+matrices are ``ints / den`` entry by entry, one correctly rounded division
+each.  All builders are pure and the returned arrays are treated as
+immutable.
 """
 
 from __future__ import annotations
@@ -144,39 +145,27 @@ def _discrete_raising(size: int) -> np.ndarray:
     return np.eye(size, k=1)
 
 
-def _ratio(a: int, b: int, num: type):
+def _as_float(ints: np.ndarray, den: int) -> np.ndarray:
     # int / int is correctly rounded, where float(a) / float(b) can round twice
-    return Fraction(a, b) if num is Fraction else a / b
+    return (ints / den).astype(float)
 
 
-def _matrix(rows: list[list], num: type):
-    """Square nested rows as a float array, or as they are for exact numbers."""
-    return np.array(rows) if num is float else rows
-
-
-def _finite_lowering(N: int, num: type = float):
+def _finite_lowering(N: int) -> tuple[np.ndarray, int]:
     # tridiagonal (N-k) f(k+1) + (2k-N) f(k) - k f(k-1), with the
-    # conventions f(-1) = f(N+1) = 0 absorbed by the matrix bounds
-    rows = [[num(0)] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1):
-        if k + 1 <= N:
-            rows[k][k + 1] = num(N - k)
-        rows[k][k] = num(2 * k - N)
-        if k - 1 >= 0:
-            rows[k][k - 1] = num(-k)
-    return _matrix(rows, num)
+    # conventions f(-1) = f(N+1) = 0 absorbed by the matrix bounds; integer
+    # entries, so over the denominator 1
+    k = np.arange(N + 1)
+    ints = np.diag(2 * k - N) + np.diag(N - k[:-1], 1) + np.diag(-k[1:], -1)
+    return ints.astype(object), 1
 
 
-def _finite_raising(N: int, num: type = float):
+def _finite_raising(N: int) -> tuple[np.ndarray, int]:
     # strictly lower triangular alternating sums of binomial ratios,
-    # entry (k, r) = (-1)^(k-1-r) C(N,r)/C(N,k), each ratio formed from the
-    # exact integers
-    rows = [[num(0)] * (N + 1) for _ in range(N + 1)]
-    for k in range(1, N + 1):
-        for r in range(k):
-            val = _ratio(comb(N, r), comb(N, k), num)
-            rows[k][r] = val if (k - 1 - r) % 2 == 0 else -val
-    return _matrix(rows, num)
+    # entry (k, r) = (-1)^(k-1-r) C(N,r)/C(N,k), over the lcm of the C(N,k)
+    binom = [comb(N, k) for k in range(N + 1)]
+    den = lcm(*binom)
+    rows = [[(-1) ** (k - 1 - r) * binom[r] * (den // binom[k]) if r < k else 0 for r in range(N + 1)] for k in range(N + 1)]
+    return np.array(rows, dtype=object), den
 
 
 def build_representation(
@@ -221,7 +210,7 @@ def build_representation(
         if M != N:
             raise ValueError("heisenberg-finite-N requires M == N")
         basis = Basis("falling-factorial", size, N=N)
-        ops = {"lower": _finite_lowering(N), "raise": _finite_raising(N)}
+        ops = {"lower": _as_float(*_finite_lowering(N)), "raise": _as_float(*_finite_raising(N))}
         return OperatorSet(family, basis, ops, N=N)
     if family in SU11_FAMILIES:
         if m is None or m <= 0:
@@ -287,9 +276,7 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
     elif fam == "heisenberg-finite-N":
         N = opset.N
         assert N is not None
-        (low, l), (rai, r), (D, dd) = (
-            _scaled(build(N, Fraction)) for build in (_finite_lowering, _finite_raising, falling_factorial_matrix)
-        )
+        (low, l), (rai, r), (D, dd) = _finite_lowering(N), _finite_raising(N), _falling_factorial(N)
         # ([lower, raise] - I) D over the denominator l r dd; it annihilates
         # the degree <= N-1 columns
         resid = (low @ rai - rai @ low) @ D - l * r * D
@@ -321,15 +308,17 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
 # ---------------------------------------------------------------------------
 
 
-def falling_factorial_matrix(N: int, num: type = float):
-    """Matrix ``[C(k,n)/C(N,n)]`` for k, n in 0..N (lower triangular).
+def _falling_factorial(N: int) -> tuple[np.ndarray, int]:
+    """``[C(k,n)/C(N,n)]`` for k, n in 0..N as ``(ints, den)``, over the lcm of the C(N,n)."""
+    binom = [comb(N, n) for n in range(N + 1)]
+    den = lcm(*binom)
+    # comb(k, n) is 0 for n > k
+    return np.array([[comb(k, n) * (den // binom[n]) for n in range(N + 1)] for k in range(N + 1)], dtype=object), den
 
-    With ``num=Fraction`` the exact entries, as nested lists.
-    """
-    return _matrix(
-        [[_ratio(comb(k, n), comb(N, n), num) if n <= k else num(0) for n in range(N + 1)] for k in range(N + 1)],
-        num,
-    )
+
+def falling_factorial_matrix(N: int) -> np.ndarray:
+    """Matrix ``[C(k,n)/C(N,n)]`` for k, n in 0..N (lower triangular), each entry correctly rounded."""
+    return _as_float(*_falling_factorial(N))
 
 
 def check_intertwiner(
@@ -384,12 +373,11 @@ def binomial_transform(f: np.ndarray, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices as integers over one denominator (shared with the
-# exact engine)
+# exact rational matrices as integers over one denominator
 # ---------------------------------------------------------------------------
 
 
-def _scaled(rows: list[list[Fraction]]) -> tuple[np.ndarray, int]:
+def _scaled(rows: np.ndarray | list[list[Fraction]]) -> tuple[np.ndarray, int]:
     """Exact rational rows as ``(ints, den)`` with ``rows == ints / den``.
 
     ``den`` is the least common multiple of the entries' denominators and
@@ -403,8 +391,3 @@ def _scaled(rows: list[list[Fraction]]) -> tuple[np.ndarray, int]:
     scale = {q: den // q for q in dens}
     ints = np.array([x.numerator * scale[x.denominator] for x in flat], dtype=object)
     return ints.reshape(len(rows), -1), den
-
-
-def _fractions(ints: np.ndarray, den: int) -> list[list[Fraction]]:
-    """The nested ``Fraction`` rows of ``ints / den``."""
-    return [[Fraction(v, den) for v in row] for row in ints.tolist()]

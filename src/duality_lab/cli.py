@@ -233,10 +233,9 @@ def run_check_exact(cfg: dict) -> Iterator[dict]:
     for N in range(2, cfg["rational_N_max"] + 1):
         resid = exact.moran_kingman_residual_exact(N)
         yield _row("moran-kingman", "rational residual is exactly zero", f"N={N}", float(resid), 0.0)
-        ladder = exact.moran_ladder_product_exact(N)
-        direct = processes.rational_generator(exact.moran_block_counting(N)[0])
-        both, den = algebra._scaled(ladder + direct)
-        diff = Fraction(abs(both[: N + 1] - both[N + 1 :]).max(), den)
+        ladder, l = exact.moran_ladder_product_exact(N)
+        direct, d = processes.rational_generator(exact.moran_block_counting(N)[0])
+        diff = Fraction(abs(d * ladder - l * direct).max(), l * d)
         yield _row("moran-kingman", "ladder product equals rate matrix (rational)", f"N={N}", float(diff), 0.0)
 
     for N in range(2, cfg["float_N_max"] + 1):
@@ -527,6 +526,12 @@ def main(argv: list[str] | None = None) -> int:
 
     runner, columns = RUNNERS[args.command]
     out_dir = Path(args.out)
+    # made before the run, so an unusable --out fails before any work
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"runtime failure: {err}", file=sys.stderr)
+        return 1
     log = reporting.RunLog(out_dir / "run.log")
     log.add(f"command={args.command}")
     log.add("config=" + reporting.canonical_config(cfg))

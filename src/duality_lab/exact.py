@@ -20,9 +20,11 @@ through an exact polynomial-coefficient representation.  Pointwise identities
 drift, covariance and potential on analytic partial derivatives of the
 duality function, and a jump side through its own moves, so no state
 space is enumerated or truncated; the duality functions are the catalog
-objects of :mod:`~duality_lab.dualities`.  The rational certification runs
-the models' moves and the algebra's builders with ``num=Fraction``, then
-multiplies their matrices as Python-int arrays over one common denominator.
+objects of :mod:`~duality_lab.dualities`.  The rational certification
+takes the models' generators (their moves run with ``num=Fraction``) and
+the algebra's exact builders in one format, ``(ints, den)``: Python-int
+arrays over one common denominator, multiplied as they are and compared by
+cross-multiplying.
 
 The worked-example reproductions compare a quoted closed form against the
 matrix-exponential value and report both without asserting agreement; two
@@ -401,13 +403,13 @@ def check_generator_duality(
 # ---------------------------------------------------------------------------
 
 
-def moran_ladder_product_exact(N: int) -> list[list[Fraction]]:
-    """The Moran generator assembled as raise (1 - raise) lower^2, exact."""
-    low, l = algebra._scaled(algebra._finite_lowering(N, Fraction))
-    rai, r = algebra._scaled(algebra._finite_raising(N, Fraction))
+def moran_ladder_product_exact(N: int) -> tuple[np.ndarray, int]:
+    """The Moran generator assembled as raise (1 - raise) lower^2, exact, as ``(ints, den)``."""
+    low, l = algebra._finite_lowering(N)
+    rai, r = algebra._finite_raising(N)
     # with raise = rai / r and lower = low / l, over the denominator (r l)^2
     eye = np.identity(N + 1, dtype=object)
-    return algebra._fractions(rai @ (r * eye - rai) @ low @ low, (r * l) ** 2)
+    return rai @ (r * eye - rai) @ low @ low, (r * l) ** 2
 
 
 def moran_block_counting(N: int) -> tuple[processes.MoranMultitype, processes.KingmanBlock]:
@@ -426,12 +428,10 @@ def moran_kingman_residual_exact(N: int) -> Fraction:
     identity outright rather than bounding floating-point error.  The
     generators are the models' own moves, evaluated in ``Fraction``.
     """
-    K, Khat = (processes.rational_generator(model) for model in moran_block_counting(N))
-    # both generators over one denominator k, D over dd
-    both, k = algebra._scaled(K + Khat)
-    K, Khat = both[: N + 1], both[N + 1 :]
-    D, dd = algebra._scaled(algebra.falling_factorial_matrix(N, Fraction))
-    return Fraction(abs(K @ D - D @ Khat.T).max(), k * dd)
+    (K, k), (Khat, kh) = (processes.rational_generator(model) for model in moran_block_counting(N))
+    D, dd = algebra._falling_factorial(N)
+    # K D / (k dd) - D Khat^T / (dd kh), over the denominator k kh dd
+    return Fraction(abs(kh * (K @ D) - k * (D @ Khat.T)).max(), k * kh * dd)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ states fills a sparse (CSR) rate matrix, :func:`generator_matrix`, through
 numpy alone: every chain here moves one particle or one count per jump, so
 a row holds a handful of rates however many states there are.  Run on an
 object array with ``num=Fraction``, the same code gives the exact rational
-generator, :func:`rational_generator`; ``transitions(states, num)`` gives
+generator, :func:`rational_generator`, as Python ints over one common
+denominator, ``(ints, den)``; ``transitions(states, num)`` gives
 its per-state lists, which the pointwise checks read.  The jump sampler,
 :func:`sample_jump`, uniformizes the chain and steps every path of a call
 at once through padded per-state tables of targets and cumulative rates
@@ -43,6 +44,8 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy import sparse
+
+from .algebra import _scaled
 
 __all__ = [
     "JumpModel",
@@ -846,23 +849,25 @@ def generator_matrix(
     return GeneratorMatrix(Q=Q, index=index)
 
 
-def rational_generator(spec: JumpModel, truncation: int | None = None) -> list[list[Fraction]]:
+def rational_generator(spec: JumpModel, truncation: int | None = None) -> tuple[np.ndarray, int]:
     """The generator of :func:`generator_matrix` in exact rational arithmetic.
 
     The same ``moves`` evaluated with ``num=Fraction`` (parameters enter as
-    the exact value of their float), as dense nested lists over
-    ``index(truncation)``.
+    the exact value of their float), over ``index(truncation)``, as
+    ``(ints, den)``: a dense object array of Python ints over the least
+    common denominator of the rates (:func:`~duality_lab.algebra._scaled`).
     """
     spec = _jump_model(spec)
     index = spec.index(truncation)
     rates, cols, _, _ = _window_moves(spec, index, Fraction)
-    Q = [[Fraction(0)] * len(index) for _ in range(len(index))]
-    for i, (row, targets) in enumerate(zip(rates.tolist(), cols.tolist())):
-        for rate, j in zip(row, targets):
-            if rate:
-                Q[i][j] = rate
-        Q[i][i] = -sum((rate for rate in row if rate), Fraction(0))
-    return Q
+    ints, den = _scaled(rates)
+    n = len(index)
+    Q = np.zeros((n, n), dtype=object)
+    # a row's moves have distinct targets; a rate not taken is zero
+    taken = ints != 0
+    Q[taken.nonzero()[0], cols[taken]] = ints[taken]
+    np.fill_diagonal(Q, -ints.sum(axis=1))
+    return Q, den
 
 
 def _diffusion_model(spec) -> DiffusionModel:

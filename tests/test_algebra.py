@@ -293,11 +293,11 @@ class TestSymmetryCharacterization:
 class TestExactRationalHelpers:
     def test_falling_factorial_exact_matches_float(self):
         N = 9
-        exact = algebra.falling_factorial_matrix(N, Fraction)
+        ints, den = algebra._falling_factorial(N)
         approx = algebra.falling_factorial_matrix(N)
         for k in range(N + 1):
             for n in range(N + 1):
-                assert abs(float(exact[k][n]) - approx[k, n]) < 1e-15
+                assert abs(float(Fraction(ints[k, n], den)) - approx[k, n]) < 1e-15
 
     def test_raising_entries_match_binomial_ratios(self):
         N = 12
@@ -313,17 +313,22 @@ class TestExactRationalHelpers:
         rep = algebra.build_representation("heisenberg-finite-N", 32, N=32)
         (report,) = algebra.check_commutation_relations(rep)
         assert report.max_abs_residual == 0.0
-        assert isinstance(algebra._finite_raising(4, Fraction)[2][1], Fraction)
+        ints, den = algebra._finite_raising(4)
+        assert type(ints[2, 1]) is int and Fraction(ints[2, 1], den) == Fraction(comb(4, 1), comb(4, 2))
 
     def test_exact_commutator_identity_at_forty(self):
         # the raising operator's integers and the residual's denominator
         # pass 2^63, so no int64 or float product could certify this
-        rai, r = algebra._scaled(algebra._finite_raising(40, Fraction))
-        dd = algebra._scaled(algebra.falling_factorial_matrix(40, Fraction))[1]
+        rai, r = algebra._finite_raising(40)
+        dd = algebra._falling_factorial(40)[1]
         assert abs(rai).max() > 2**63 and r * dd > 2**63
         rep = algebra.build_representation("heisenberg-finite-N", 40, N=40)
         (report,) = algebra.check_commutation_relations(rep)
         assert report.max_abs_residual == 0.0
+
+
+def _fractions(ints, den):
+    return [[Fraction(v, den) for v in row] for row in ints.tolist()]
 
 
 def _fraction_product(A, B):
@@ -351,20 +356,50 @@ class TestScaledIntegers:
     def test_products_and_differences_equal_the_fraction_reference(self, chain):
         A, B, C = chain
         scaled = [algebra._scaled(M) for M in chain]
-        assert [algebra._fractions(*s) for s in scaled] == chain
+        assert [_fractions(*s) for s in scaled] == chain
         (a, da), (b, db), (c, dc) = scaled
         want = _fraction_product(_fraction_product(A, B), C)
-        assert algebra._fractions(a @ b @ c, da * db * dc) == want
-        # a difference needs both operands over one denominator
+        assert _fractions(a @ b @ c, da * db * dc) == want
+        # a difference cross-multiplies its operands' denominators
         other = [[-v / 3 + 1 for v in row] for row in A]
-        both, den = algebra._scaled(A + other)
-        diff = both[: len(A)] - both[len(A) :]
+        o, do = algebra._scaled(other)
+        diff = do * a - da * o
         want = [[x - y for x, y in zip(r, s)] for r, s in zip(A, other)]
-        assert algebra._fractions(diff, den) == want
-        assert Fraction(abs(diff).max(), den) == max(abs(v) for row in want for v in row)
+        assert _fractions(diff, da * do) == want
+        assert Fraction(abs(diff).max(), da * do) == max(abs(v) for row in want for v in row)
 
     def test_common_denominator_is_the_least(self):
         ints, den = algebra._scaled([[Fraction(1, 6), Fraction(-3, 4)], [Fraction(0), Fraction(5)]])
         assert den == 12
         assert ints.dtype == object and ints.tolist() == [[2, -9], [0, 60]]
         assert all(type(v) is int for v in ints.flat)
+
+
+class TestFiniteFloatBits:
+    """The float finite-population matrices keep the bits of their per-entry formulas.
+
+    The builders divide exact ints over one common denominator; Python's
+    int / int rounds correctly, so each entry must be bit for bit the
+    correctly rounded ratio it always was.
+    """
+
+    @pytest.mark.parametrize("N", range(1, 61))
+    def test_bits_equal_the_per_entry_formulas(self, N):
+        size = N + 1
+        falling = np.array([[comb(k, n) / comb(N, n) if n <= k else 0.0 for n in range(size)] for k in range(size)])
+        lower = np.zeros((size, size))
+        raise_ = np.zeros((size, size))
+        for k in range(size):
+            if k + 1 <= N:
+                lower[k, k + 1] = N - k
+            lower[k, k] = 2 * k - N
+            if k >= 1:
+                lower[k, k - 1] = -k
+            for r in range(k):
+                val = comb(N, r) / comb(N, k)
+                raise_[k, r] = val if (k - 1 - r) % 2 == 0 else -val
+        assert algebra.falling_factorial_matrix(N).tobytes() == falling.tobytes()
+        ops = algebra.build_representation("heisenberg-finite-N", N, N=N).ops
+        assert ops["lower"].dtype == ops["raise"].dtype == np.float64
+        assert ops["lower"].tobytes() == lower.tobytes()
+        assert ops["raise"].tobytes() == raise_.tobytes()

@@ -62,6 +62,23 @@ class TestExitCodes:
         cfg["frozen"] = "1,1"  # does not sum to N=3
         assert run_cli(tmp_path, "run-mc", cfg) == 1
 
+    def test_out_path_that_is_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def runner(cfg):
+            calls.append(cfg)
+            return iter(())
+
+        monkeypatch.setitem(cli.RUNNERS, "check-algebra", (runner, cli.CHECK_COLUMNS))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert cli.main(["check-algebra", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert calls == []
+        assert taken.read_text() == "not a directory"
+
     @pytest.mark.parametrize("experiment", ["heterozygosity", "wf-vs-moran", "wf-moment-vs-kingman"])
     def test_start_outside_the_domain_is_runtime_failure(self, tmp_path, experiment, capsys):
         # a frequency of 1.7 used to give a report with a negative oracle
@@ -265,20 +282,21 @@ def _float_or_none(cell: str):
 
 
 class TestGoldenReports:
-    """Default reports against the CSVs in ``tests/golden``.
+    """Default reports, and the exact checks at N = 40, against the CSVs in ``tests/golden``.
 
-    The golden files were written by ``duality-lab <command> --out <dir>``
-    at the defaults with the dense-generator code.  The sparse generators
+    The default golden files were written by ``duality-lab <command> --out
+    <dir>`` at the defaults with the dense-generator code; the ``-N40``
+    files by the exact checks in their ``Fraction``-matrix form, before
+    they took the ``(ints, den)`` format.  The sparse generators
     sum a row's diagonal and the products ``K D`` in another order, so
     residual cells may move by a few ulps: float cells must agree within
     1e-12, every other cell (and the ``passed`` column) exactly.
     """
 
-    @pytest.mark.parametrize("command", ["check-algebra", "check-exact", "check-pointwise", "reproduce-examples"])
-    def test_default_report_matches_golden(self, tmp_path, command):
-        assert cli.main([command, "--out", str(tmp_path / "out")]) == 0
-        got = (tmp_path / "out" / "report.csv").read_text().splitlines()
-        want = (GOLDEN / f"{command}.csv").read_text().splitlines()
+    @staticmethod
+    def _assert_matches(got_path, golden_name):
+        got = got_path.read_text().splitlines()
+        want = (GOLDEN / golden_name).read_text().splitlines()
         assert got[0] == want[0]  # the config comment
         got_rows = list(csv.reader(got[1:]))
         want_rows = list(csv.reader(want[1:]))
@@ -293,6 +311,20 @@ class TestGoldenReports:
                     assert g == w, (want_row, got_row)
                 else:
                     assert abs(gf - wf) <= GOLDEN_FLOAT_TOL, (want_row, got_row)
+
+    @pytest.mark.parametrize("command", ["check-algebra", "check-exact", "check-pointwise", "reproduce-examples"])
+    def test_default_report_matches_golden(self, tmp_path, command):
+        assert cli.main([command, "--out", str(tmp_path / "out")]) == 0
+        self._assert_matches(tmp_path / "out" / "report.csv", f"{command}.csv")
+
+    # the exact certification at N = 40, where the rational products'
+    # integers and common denominators pass 2^63
+    @pytest.mark.parametrize(
+        "command, config", [("check-exact", {"rational_N_max": 40}), ("check-algebra", {"finite_N": 40})]
+    )
+    def test_report_at_forty_matches_golden(self, tmp_path, command, config):
+        assert run_cli(tmp_path, command, config) == 0
+        self._assert_matches(tmp_path / "out" / "report.csv", f"{command}-N40.csv")
 
 
 class TestGoldenRunMcReports:

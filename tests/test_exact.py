@@ -426,9 +426,10 @@ class TestRationalCertification:
 
     @pytest.mark.parametrize("N", [*range(2, 11), 40])
     def test_ladder_product_equals_rate_matrix(self, N):
-        ladder = moran_ladder_product_exact(N)
-        direct = processes.rational_generator(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
-        assert ladder == direct
+        ladder, l = moran_ladder_product_exact(N)
+        direct, d = processes.rational_generator(processes.moran_multitype(N, 2, 0.0, rate_scale=2.0))
+        # ladder / l == direct / d, cross-multiplied
+        assert (d * ladder == l * direct).all()
 
     def test_float_agrees_up_to_twenty(self):
         for N in (12, 16, 20):

@@ -587,6 +587,11 @@ def _sha256(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
 
+def _fractions(ints, den):
+    """The nested ``Fraction`` rows of ``ints / den``."""
+    return [[Fraction(v, den) for v in row] for row in ints.tolist()]
+
+
 class TestFloatFingerprints:
     """Every chain the commands and benchmark build keeps its float bits.
 
@@ -619,16 +624,16 @@ class TestRationalGenerator:
     @pytest.mark.parametrize("N", range(2, 11))
     def test_moran_and_block_counting_equal_float_entry_for_entry(self, N):
         for spec in (moran_multitype(N, 2, 0.0, rate_scale=2.0), kingman_block(n_max=N)):
-            exact = rational_generator(spec)
-            assert all(isinstance(v, Fraction) for row in exact for v in row)
+            ints, den = rational_generator(spec)
+            assert all(type(v) is int for v in ints.flat)
             dense = generator_matrix(spec).Q.toarray()
-            assert [[Fraction(v) for v in row] for row in dense.tolist()] == exact
+            assert [[Fraction(v) for v in row] for row in dense.tolist()] == _fractions(ints, den)
 
     def test_dyadic_parameters_are_exact_in_float(self):
         # every rate of these chains is a dyadic rational, so the float
         # generator carries it exactly
         for spec, trunc in ((kingman_block(0.5, 0.25, 10), None), (sip(3, 1.5), 3), (moran_multitype(4, 3, 0.5), None)):
-            exact = rational_generator(spec, trunc)
+            exact = _fractions(*rational_generator(spec, trunc))
             dense = generator_matrix(spec, trunc).Q.toarray()
             assert [[Fraction(v) for v in row] for row in dense.tolist()] == exact
 
@@ -811,7 +816,7 @@ class TestBatchedAssembly:
         spec, truncation = chain
         gen = generator_matrix(spec, truncation)
         self._assert_matches_rates(spec, gen.index, gen)
-        assert rational_generator(spec, truncation) == _dense_from_rates(spec, gen.index, Fraction)
+        assert _fractions(*rational_generator(spec, truncation)) == _dense_from_rates(spec, gen.index, Fraction)
 
     @settings(max_examples=30, deadline=None)
     @given(chain=_jump_chains(), seed=st.integers(0, 2**32 - 1))
@@ -840,7 +845,7 @@ class TestBatchedAssembly:
         gen = generator_matrix(spec, 5)
         self._assert_matches_rates(spec, gen.index, gen)
         assert gen.Q.nnz == 6
-        assert rational_generator(spec, 5) == [[Fraction(0)] * 6 for _ in range(6)]
+        assert _fractions(*rational_generator(spec, 5)) == [[Fraction(0)] * 6 for _ in range(6)]
 
     def test_targets_outside_a_sparse_window_are_dropped(self):
         # every other block count: each move lands outside the window, and a
