@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, lcm
 
 import numpy as np
 from scipy import sparse
@@ -259,7 +259,9 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
     can still be raised (degrees ``0..N-1``); that check is performed in
     exact rational arithmetic because the alternating binomial sums in the
     raising operator make the double-precision product ill-conditioned for
-    N around 25 and beyond.
+    N around 25 and beyond.  It certifies the set's own ``lower`` and
+    ``raise`` only where they are, bit for bit, the floats of that exact
+    pair; a set that holds any other matrices reports an infinite residual.
     """
     fam = opset.family
     size = opset.basis.size
@@ -277,17 +279,17 @@ def check_commutation_relations(opset: OperatorSet) -> list[ResidualReport]:
         N = opset.N
         assert N is not None
         (low, l), (rai, r), (D, dd) = _finite_lowering(N), _finite_raising(N), _falling_factorial(N)
-        # ([lower, raise] - I) D over the denominator l r dd; it annihilates
-        # the degree <= N-1 columns
-        resid = (low @ rai - rai @ low) @ D - l * r * D
-        worst = Fraction(abs(resid[:, :N]).max(), l * r * dd)
-        out.append(
-            ResidualReport(
-                "([lower,raise] - I) on falling-factorial degrees 0..N-1",
-                float(worst),
-                f"all k, degrees 0..{N - 1} (exact rational)",
-            )
-        )
+        pairs = {"lower": (low, l), "raise": (rai, r)}
+        held = {name: np.asarray(opset.ops[name], dtype=float).tobytes() for name in pairs}
+        if any(held[name] != _as_float(*pair).tobytes() for name, pair in pairs.items()):
+            worst, block = inf, "lower/raise are not the exact pair's floats"
+        else:
+            # ([lower, raise] - I) D over the denominator l r dd; it
+            # annihilates the degree <= N-1 columns
+            resid = (low @ rai - rai @ low) @ D - l * r * D
+            worst = float(Fraction(abs(resid[:, :N]).max(), l * r * dd))
+            block = f"all k, degrees 0..{N - 1} (exact rational)"
+        out.append(ResidualReport("([lower,raise] - I) on falling-factorial degrees 0..N-1", worst, block))
     elif fam in SU11_FAMILIES:
         sign = 1.0 if fam == "su11-continuous" else -1.0
         low, rai, num = opset.ops["lower"], opset.ops["raise"], opset.ops["number"]

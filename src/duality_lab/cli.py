@@ -231,10 +231,10 @@ def run_check_exact(cfg: dict) -> Iterator[dict]:
     tol = cfg["tolerance"]
 
     for N in range(2, cfg["rational_N_max"] + 1):
-        resid = exact.moran_kingman_residual_exact(N)
+        direct, d = processes.rational_generator(exact.moran_block_counting(N)[0])
+        resid = exact.moran_kingman_residual_exact(N, (direct, d))
         yield _row("moran-kingman", "rational residual is exactly zero", f"N={N}", float(resid), 0.0)
         ladder, l = exact.moran_ladder_product_exact(N)
-        direct, d = processes.rational_generator(exact.moran_block_counting(N)[0])
         diff = Fraction(abs(d * ladder - l * direct).max(), l * d)
         yield _row("moran-kingman", "ladder product equals rate matrix (rational)", f"N={N}", float(diff), 0.0)
 
@@ -526,27 +526,25 @@ def main(argv: list[str] | None = None) -> int:
 
     runner, columns = RUNNERS[args.command]
     out_dir = Path(args.out)
-    # made before the run, so an unusable --out fails before any work
+    # opened before the run, so an unusable --out or run.log fails before any work
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        log = reporting.RunLog(out_dir / "run.log")
     except OSError as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 1
-    log = reporting.RunLog(out_dir / "run.log")
-    log.add(f"command={args.command}")
-    log.add("config=" + reporting.canonical_config(cfg))
-    try:
-        rows = list(runner(cfg))
-        target = reporting.write_report(out_dir, args.fmt, columns, rows, cfg)
-    except Exception as err:  # noqa: BLE001 - the CLI boundary reports and exits
-        log.add(f"runtime failure: {err!r}")
-        log.flush()
-        print(f"runtime failure: {err}", file=sys.stderr)
-        return 1
-    passed = all(row["passed"] for row in rows if "passed" in row)
-    log.add(f"wrote {target.name} with {len(rows)} rows")
-    log.add("passed" if passed else "failed")
-    log.flush()
+    with log:
+        log.add(f"command={args.command}")
+        log.add("config=" + reporting.canonical_config(cfg))
+        try:
+            rows = list(runner(cfg))
+            target = reporting.write_report(out_dir, args.fmt, columns, rows, cfg)
+        except Exception as err:  # noqa: BLE001 - the CLI boundary reports and exits
+            log.add(f"runtime failure: {err!r}")
+            print(f"runtime failure: {err}", file=sys.stderr)
+            return 1
+        passed = all(row["passed"] for row in rows if "passed" in row)
+        log.add(f"wrote {target.name} with {len(rows)} rows")
+        log.add("passed" if passed else "failed")
     return 0 if passed else 1
 
 

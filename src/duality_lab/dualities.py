@@ -355,21 +355,28 @@ class InclusionSelfDuality(_Duality):
         return out or [(1.0, 1.0)]
 
     def matrix(self, index_rows, index_cols) -> np.ndarray:
+        """D between two sectors' state indexes, one dual state (column) at a time.
+
+        Each coordinate of the row states is one contiguous float row.  An
+        entry's falling factorials multiply in the scalar product's order, so
+        it has that product's bits, and a row below the dual state is +0.0.
+        """
         a = self.a
-        out = np.zeros((len(index_rows), len(index_cols)))
-        K = np.array(index_rows.states, dtype=float)
-        if K.shape[1] != len(index_cols.states[0]):
+        if index_rows.array.shape[1] != index_cols.array.shape[1]:
             raise ValueError("sector dimensions differ")
-        # one column at a time, over all rows at once: the falling factorials
-        # multiply in the same order as the scalar product per entry
-        for j, xi in enumerate(index_cols.states):
-            val = np.ones(len(K))
-            for i, xii in enumerate(xi):
+        K = np.ascontiguousarray(index_rows.array.T, dtype=float)
+        out = np.ones((len(index_cols), len(index_rows)))
+        for col, xi in zip(out, index_cols.array.tolist()):
+            inside = np.ones(len(index_rows), dtype=bool)
+            for k, xii in zip(K, xi):
                 for step in range(xii):
-                    val *= K[:, i] - step
-                val *= exp(lgamma(a) - lgamma(a + xii))
-            out[:, j] = np.where((K >= xi).all(axis=1), val, 0.0)
-        return out
+                    col *= k - step
+                col *= exp(lgamma(a) - lgamma(a + xii))
+                # only a coordinate the dual state occupies can be below it
+                if xii:
+                    inside &= k >= xii
+            col[~inside] = 0.0
+        return np.ascontiguousarray(out.T)
 
 
 # each kind's builder; its signature names the parameters the kind takes

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import expm, qr
 
 from . import algebra, dualities, processes
 from .algebra import ResidualReport, check_intertwiner
@@ -213,29 +213,17 @@ def _uniformized(M: np.ndarray | sparse.csr_array, v: np.ndarray, t: float, tran
 
 
 def _orthonormal_rows(B: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal rows spanning ``B``'s rows, by Gram-Schmidt with pivoting.
+    """Orthonormal rows spanning ``B``'s rows, by Householder QR with column pivoting.
 
-    Each step takes the row farthest from the span so far, projects it off
-    that span a second time ("twice is enough") and normalises it.  It
-    stops once every row lies within ``cutoff`` (2-norm) of the span, so a
-    row that another row or combination nearly equals adds no direction of
-    rounding noise.
+    At step k LAPACK's xGEQP3 (Quintana-Orti, Sun & Bischof 1998) on ``B^T``
+    takes the column farthest from the span of those before it, at 2-norm
+    distance ``|R_kk|``.  The basis keeps the leading run of steps with
+    ``|R_kk| > cutoff``, so a row that another row or combination nearly
+    equals adds no direction of rounding noise; a NaN cutoff keeps none.
     """
-    rest = B.copy()
-    W = np.empty_like(rest)
-    r = 0
-    while r < len(rest):
-        norms = np.einsum("ij,ij->i", rest, rest)
-        j = int(norms.argmax())
-        if not norms[j] > cutoff * cutoff:
-            break
-        q = rest[j] / sqrt(norms[j])
-        q -= (W[:r] @ q) @ W[:r]
-        q /= sqrt(q @ q)
-        W[r] = q
-        rest -= np.outer(rest @ q, q)
-        r += 1
-    return W[:r]
+    Q, R, _ = qr(B.T, mode="economic", pivoting=True, check_finite=False)
+    rank = int(np.logical_and.accumulate(np.abs(np.diag(R)) > cutoff).sum())
+    return Q[:, :rank].T
 
 
 def _invariant_subspace(
@@ -421,14 +409,18 @@ def moran_block_counting(N: int) -> tuple[processes.MoranMultitype, processes.Ki
     return processes.moran_multitype(N, 2, 0.0, rate_scale=2.0), processes.kingman_block(n_max=N)
 
 
-def moran_kingman_residual_exact(N: int) -> Fraction:
+def moran_kingman_residual_exact(N: int, moran: tuple[np.ndarray, int] | None = None) -> Fraction:
     """Max |K D - D K_hat^T| of the Moran / block-counting pair, exact.
 
     All three matrices have rational entries, so a zero here certifies the
     identity outright rather than bounding floating-point error.  The
-    generators are the models' own moves, evaluated in ``Fraction``.
+    generators are the models' own moves, evaluated in ``Fraction``; pass
+    the Moran chain's ``rational_generator`` as ``moran`` where it is built
+    already.
     """
-    (K, k), (Khat, kh) = (processes.rational_generator(model) for model in moran_block_counting(N))
+    model, dual = moran_block_counting(N)
+    K, k = processes.rational_generator(model) if moran is None else moran
+    Khat, kh = processes.rational_generator(dual)
     D, dd = algebra._falling_factorial(N)
     # K D / (k dd) - D Khat^T / (dd kh), over the denominator k kh dd
     return Fraction(abs(kh * (K @ D) - k * (D @ Khat.T)).max(), k * kh * dd)

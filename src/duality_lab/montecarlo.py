@@ -85,11 +85,19 @@ class ComparisonReport:
         }
 
 
-def _mean_se(values: Sequence[float]) -> SideEstimate:
+def _mean_se(values: Sequence[float], paired: bool = False) -> SideEstimate:
+    """Sample mean and standard error of ``values``.
+
+    With ``paired`` the values come in antithetic pairs (2j, 2j + 1), which
+    are correlated, and the SE is that of the n/2 independent pair means
+    about the mean; ``n`` stays the path count.
+    """
     n = len(values)
     mean = math.fsum(values) / n
-    if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n * (n - 1))
+    units = [(a + b) / 2 for a, b in zip(values[::2], values[1::2])] if paired else values
+    m = len(units)
+    if m > 1:
+        var = math.fsum((u - mean) ** 2 for u in units) / (m * (m - 1))
         se = math.sqrt(var)
     else:
         se = 0.0
@@ -150,7 +158,7 @@ def estimate_duality_side(
         values = [dualities.evaluate(family, point(tuple(row.tolist()))) for row in endpoints]
         if t == 0:
             return SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
-        return _mean_se(values)
+        return _mean_se(values, paired=cfg.antithetic)
 
     if not isinstance(spec, JumpModel):
         raise TypeError(f"a {type(spec).__name__} is not a model: pass the DiffusionModel or the JumpModel itself")

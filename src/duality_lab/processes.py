@@ -795,15 +795,19 @@ def _row_sums(rates: np.ndarray) -> np.ndarray:
     where none of its additions rounds (TwoSum's error term is zero); the
     rows where one does go through ``fsum``.  Where no row has more than
     two nonzero rates, each sum has at most one rounded addition and is
-    returned without the scan: every two-move chain.
+    returned without the scan: every two-move chain.  Both add on the
+    (moves, states) transpose, one contiguous row across all states at a time.
     """
-    total = np.cumsum(rates, axis=1)
-    if (rates != 0).sum(axis=1).max(initial=0) <= 2:
-        return total[:, -1]
-    prev, new, s = total[:, :-1], rates[:, 1:], total[:, 1:]
+    moves = np.ascontiguousarray(rates.T)
+    total = moves.copy()
+    for k in range(1, len(total)):
+        total[k] += total[k - 1]
+    if (moves != 0).sum(axis=0).max(initial=0) <= 2:
+        return total[-1]
+    prev, new, s = total[:-1], moves[1:], total[1:]
     back = s - prev
-    rounded = ((prev - (s - back)) + (new - back)).any(axis=1)
-    out = total[:, -1]
+    rounded = ((prev - (s - back)) + (new - back)).any(axis=0)
+    out = total[-1]
     for i in np.flatnonzero(rounded).tolist():
         out[i] = fsum(rates[i].tolist())
     return out

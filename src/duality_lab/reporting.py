@@ -67,16 +67,25 @@ def write_report(
 
 
 class RunLog:
-    """Sidecar log with timestamps, kept out of the machine output."""
+    """Sidecar log with timestamps, kept out of the machine output.
+
+    The file is opened when the log is made, so a path that cannot be
+    written fails before any work; the lines go out when the log closes
+    (``with RunLog(path) as log: ...``).
+    """
 
     def __init__(self, path: Path) -> None:
-        self.path = path
+        path.parent.mkdir(parents=True, exist_ok=True)
         self.lines: list[str] = []
+        self._file = open(path, "w", encoding="utf-8")
 
     def add(self, message: str) -> None:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         self.lines.append(f"{stamp} {message}")
 
-    def flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("\n".join(self.lines) + "\n", encoding="utf-8")
+    def __enter__(self) -> RunLog:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._file:
+            self._file.write("\n".join(self.lines) + "\n")

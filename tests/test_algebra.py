@@ -91,6 +91,18 @@ class TestCommutationRelations:
         (report,) = algebra.check_commutation_relations(rep)
         assert report.max_abs_residual <= 1e-12
 
+    @pytest.mark.parametrize("name", ["lower", "raise"])
+    def test_finite_population_set_with_other_matrices_fails(self, name):
+        rep = canonical("heisenberg-finite-N", 6, N=6)
+        ops = dict(rep.ops, **{name: np.zeros_like(rep.ops[name])})
+        (report,) = algebra.check_commutation_relations(algebra.OperatorSet(rep.family, rep.basis, ops, N=rep.N))
+        assert report.max_abs_residual == np.inf
+        # one ulp off is not the exact pair either
+        ops = dict(rep.ops, **{name: rep.ops[name].copy()})
+        ops[name][3, 2] = np.nextafter(ops[name][3, 2], np.inf)
+        (report,) = algebra.check_commutation_relations(algebra.OperatorSet(rep.family, rep.basis, ops, N=rep.N))
+        assert report.max_abs_residual == np.inf
+
     def test_su11_continuous_reports(self):
         rep = canonical("su11-continuous", 8, m=1.0)
         for report in algebra.check_commutation_relations(rep):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from duality_lab import cli
+from duality_lab import cli, processes
 
 FAST_MC = {"n_paths": 400, "t": 0.2, "dt": 0.01}
 
@@ -78,6 +78,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert calls == []
         assert taken.read_text() == "not a directory"
+
+    def test_unwritable_run_log_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def runner(cfg):
+            calls.append(cfg)
+            return iter(())
+
+        monkeypatch.setitem(cli.RUNNERS, "check-algebra", (runner, cli.CHECK_COLUMNS))
+        out = tmp_path / "out"
+        (out / "run.log").mkdir(parents=True)
+        assert cli.main(["check-algebra", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert calls == []
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("experiment", ["heterozygosity", "wf-vs-moran", "wf-moment-vs-kingman"])
     def test_start_outside_the_domain_is_runtime_failure(self, tmp_path, experiment, capsys):
@@ -325,6 +342,22 @@ class TestGoldenReports:
     def test_report_at_forty_matches_golden(self, tmp_path, command, config):
         assert run_cli(tmp_path, command, config) == 0
         self._assert_matches(tmp_path / "out" / "report.csv", f"{command}-N40.csv")
+
+
+def test_check_exact_builds_each_rational_generator_once(monkeypatch):
+    # one Moran and one block-counting chain per N = 2..40
+    calls = []
+    build = processes.rational_generator
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(processes, "rational_generator", counting)
+    cfg = dict(cli.resolve_config("check-exact", None, None), rational_N_max=40)
+    rows = list(cli.run_check_exact(cfg))
+    assert all(row["passed"] for row in rows)
+    assert len(calls) == 78
 
 
 class TestGoldenRunMcReports:

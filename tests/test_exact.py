@@ -296,6 +296,57 @@ class TestUniformization:
         assert np.abs(weights - want).max() <= 1e-14 * want.max()
 
 
+def _reference_orthonormal_rows(B, cutoff):
+    # Gram-Schmidt with pivoting: each step takes the row farthest from the
+    # span so far, projects it off the span a second time and normalises
+    # it, until every row is within cutoff of the span
+    rest = B.copy()
+    W = np.empty_like(rest)
+    r = 0
+    while r < len(rest):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        j = int(norms.argmax())
+        if not norms[j] > cutoff * cutoff:
+            break
+        q = rest[j] / np.sqrt(norms[j])
+        q -= (W[:r] @ q) @ W[:r]
+        q /= np.sqrt(q @ q)
+        W[r] = q
+        rest -= np.outer(rest @ q, q)
+        r += 1
+    return W[:r]
+
+
+class TestOrthonormalRows:
+    """The pivoted-QR basis against the Gram-Schmidt reference: the same rank and the same span."""
+
+    @staticmethod
+    def _block(case):
+        if case in ("496-states", "969-states", "1771-states"):
+            d, N = {"496-states": (3, 30), "969-states": (4, 16), "1771-states": (4, 20)}[case]
+            K, _, D = _sip_cross_sector(d, N)
+            return np.column_stack([D, np.ones(len(K.index))]).T
+        B = np.random.default_rng(12).random((5, 300))
+        if case == "random":
+            return B
+        # a repeated row, a combination and a row 1e-14 off another
+        return np.vstack([B, B[1], B[0] - 2.0 * B[3], B[2] * (1.0 + 1e-14)])
+
+    @pytest.mark.parametrize("case", ["496-states", "969-states", "1771-states", "random", "rank-deficient"])
+    def test_same_rank_and_span_as_gram_schmidt(self, case):
+        B = self._block(case)
+        cutoff = 1e-12 * np.abs(B).max()
+        got, want = exact._orthonormal_rows(B, cutoff), _reference_orthonormal_rows(B, cutoff)
+        assert got.shape == want.shape
+        assert np.abs(got @ got.T - np.eye(len(got))).max() <= 1e-13
+        # the cosines of the principal angles between the two spans
+        assert np.abs(np.linalg.svd(got @ want.T, compute_uv=False) - 1.0).max() <= 1e-12
+
+    def test_a_nan_cutoff_keeps_no_row(self):
+        B = np.random.default_rng(13).random((3, 200))
+        assert exact._orthonormal_rows(B, float("nan")).shape == (0, 200)
+
+
 class TestInvariantSubspace:
     """A block whose span the generator leaves invariant is exponentiated on that span, within 1e-12 of max|v|."""
 
@@ -785,6 +836,7 @@ def _reference_sip_self_duality_matrix(index_rows, index_cols, m):
 
 
 class TestSipSelfDualityMatrix:
+    # the first three are the exact-oracle benchmark's sectors
     @pytest.mark.parametrize(
         "d, N, n, m", [(3, 30, 2, 1.0), (4, 16, 2, 1.0), (4, 20, 2, 1.0), (3, 12, 5, 2.0), (2, 40, 7, 0.5)]
     )
@@ -793,6 +845,9 @@ class TestSipSelfDualityMatrix:
         cols = processes.enumerate_states(d, n)
         got = exact.sip_self_duality_matrix(rows, cols, m)
         assert np.array_equal(got, _reference_sip_self_duality_matrix(rows, cols, m))
+        # array_equal counts -0.0 equal to the reference's +0.0 zeros
+        assert not np.signbit(got).any()
+        assert got.flags.c_contiguous
 
     def test_rejects_sectors_of_different_dimension(self):
         with pytest.raises(ValueError, match="sector dimensions differ"):

@@ -225,6 +225,58 @@ class TestAntithetic:
         )
         assert a.mean != plain.mean
 
+    def test_se_is_that_of_the_pair_means(self):
+        # at x0 = 0.5 the heterozygosity x(1 - x) is symmetric about the
+        # start, so each antithetic pair gives one value twice (correlation
+        # 1): n/2 identical pairs have sqrt(2 (n-1)/(n-2)) times the SE
+        # that n independent values would have, sqrt(2) up to 2.5e-4 here
+        spec = processes.wf_multitype(2, 0.0)
+        fam = DualityFamily("limiting-sip")
+        cfg = EstimatorConfig(n_paths=2000, seed=61, dt=5e-3, t=0.5, antithetic=True)
+        got = estimate_duality_side(spec, fam, (0.5,), (1, 1), 0.5, cfg)
+        values = _reference_diffusion_values(spec, fam, (0.5,), (1, 1), 0.5, cfg)
+        n = len(values)
+        mean = math.fsum(values) / n
+        independent = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n * (n - 1)))
+        assert (got.mean, got.n) == (mean, cfg.n_paths)
+        assert got.se == pytest.approx(math.sqrt(2.0) * independent, rel=1e-3)
+        assert got.se == pytest.approx(math.sqrt(2.0 * (n - 1) / (n - 2)) * independent, rel=1e-12)
+
+    def test_negatively_correlated_pairs_shrink_the_se(self):
+        spec = processes.wf_multitype(2, 0.0)
+        fam = DualityFamily("limiting-sip")
+        cfg = EstimatorConfig(n_paths=2000, seed=61, dt=5e-3, t=0.5, antithetic=True)
+        got = estimate_duality_side(spec, fam, (0.3,), (1, 1), 0.5, cfg)
+        values = _reference_diffusion_values(spec, fam, (0.3,), (1, 1), 0.5, cfg)
+        pairs = [(a + b) / 2 for a, b in zip(values[::2], values[1::2])]
+        m, n = len(pairs), len(values)
+        assert got.se == math.sqrt(math.fsum((p - got.mean) ** 2 for p in pairs) / (m * (m - 1)))
+        independent = math.sqrt(math.fsum((v - got.mean) ** 2 for v in values) / (n * (n - 1)))
+        assert got.se < 0.8 * independent
+
+
+class TestJumpPathPinned:
+    """The jump estimator's (mean, SE) bits on mc-jump's 91-state d = 3 Moran chain, one seed, 250 paths.
+
+    A change to the sampler, the path streams, the generator's rates or row
+    sums, or the duality's factors moves them.
+    """
+
+    CASES = {
+        ((4, 4), (2, 1, 1)): ("0x1.2f04c756b2dc1p+8", "0x1.c45efb52df3bfp+4"),
+        ((6, 2), (1, 1, 0)): ("0x1.1f7ced916872fp+5", "0x1.59c10508378c2p+1"),
+        ((3, 5), (0, 2, 1)): ("0x1.669d0369d036ap+7", "0x1.99dfe4d323378p+3"),
+        ((2, 7), (1, 0, 2)): ("0x1.8e5604189374dp+5", "0x1.6e10c40916c67p+2"),
+    }
+
+    @pytest.mark.parametrize("k0, xi", sorted(CASES))
+    def test_mean_and_se_bits(self, k0, xi):
+        spec = processes.moran_multitype(12, 3, 0.5)
+        fam = DualityFamily("moran-self-dual", N=12, theta=0.5, d=3)
+        cfg = EstimatorConfig(n_paths=250, seed=20, dt=1e-3, t=0.5)
+        got = estimate_duality_side(spec, fam, k0, xi, 0.5, cfg)
+        assert (got.mean.hex(), got.se.hex(), got.n) == (*self.CASES[(k0, xi)], 250)
+
 
 # ---------------------------------------------------------------------------
 # reference: one lift and one _eval_pair per path, frozen converted each time
