@@ -69,7 +69,7 @@ class EvalPoint:
     discrete: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(n < 0 for n in self.discrete):
+        if self.discrete and min(self.discrete) < 0:
             raise ValueError("discrete coordinates must be non-negative")
 
 
@@ -345,14 +345,17 @@ class InclusionSelfDuality(_Duality):
             raise ValueError("moran-self-dual needs 2d discrete slots (k then xi)")
         if self.N is not None and sum(n[:d]) != self.N:
             raise ValueError("type counts must sum to the population size")
+        a = self.a
+        log_gamma_a = lgamma(a)
         out = []
         for ki, xii in zip(n[:d], n[d:]):
             if xii > ki:
                 return [(0.0, 1.0)]
             # falling factorial k(k-1)...(k-xi+1)
-            out.extend((float(ki - j), 1.0) for j in range(xii))
-            out.append((_E, lgamma(self.a) - lgamma(self.a + xii)))
-        return out or [(1.0, 1.0)]
+            for j in range(xii):
+                out.append((float(ki - j), 1.0))
+            out.append((_E, log_gamma_a - lgamma(a + xii)))
+        return out
 
     def matrix(self, index_rows, index_cols) -> np.ndarray:
         """D between two sectors' state indexes, one dual state (column) at a time.
@@ -419,9 +422,9 @@ def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
                     raise
                 risky = True
                 break
-            if raw == 0.0 and base != 0.0:
-                risky = True  # underflowed power
-            if abs(raw) > _OVERFLOW or (raw != 0.0 and abs(raw) < _UNDERFLOW):
+            # outside the safe range, an over- or underflowed power; an exact
+            # zero (of a zero base) and a NaN are not
+            if not _UNDERFLOW <= abs(raw) <= _OVERFLOW and (raw == raw if raw != 0.0 else base != 0.0):
                 risky = True
             out *= raw
         if method == "direct" or not risky:
@@ -447,7 +450,7 @@ def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
 
 def evaluate_at(family, continuous: Sequence[float], discrete: Sequence[int]) -> float:
     """Convenience wrapper building the :class:`EvalPoint` in place."""
-    return evaluate(family, EvalPoint(tuple(float(c) for c in continuous), tuple(int(n) for n in discrete)))
+    return evaluate(family, EvalPoint(tuple(map(float, continuous)), tuple(map(int, discrete))))
 
 
 def cheap_self_duality(mu: np.ndarray) -> np.ndarray:

@@ -271,8 +271,9 @@ class DiffusionModel:
     ``_inside(x)``; ``_drift_covariance(x)``, the drift (paths, dim) and
     covariance at each row of ``x``, the covariance as (paths, dim, dim) or,
     when the coordinates take independent noise, as the variances (paths,
-    dim); and ``project(x, prev)``, which maps the states after one
-    Euler-Maruyama step from ``prev`` back into the domain.
+    dim), both fresh arrays that the caller may overwrite; and
+    ``project(x, prev)``, which maps the states after one Euler-Maruyama
+    step from ``prev`` back into the domain.
     """
 
     kind: ClassVar[str]
@@ -800,6 +801,9 @@ def _row_sums(rates: np.ndarray) -> np.ndarray:
     """
     moves = np.ascontiguousarray(rates.T)
     total = moves.copy()
+    # one move at a time: np.cumsum(moves, axis=0) adds in the same order,
+    # but accumulates state by state and took 1.3-1.7x as long at 496 to
+    # 1,771 states (numpy 2.4)
     for k in range(1, len(total)):
         total[k] += total[k - 1]
     if (moves != 0).sum(axis=0).max(initial=0) <= 2:
@@ -906,8 +910,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _POOL = 4
-# paths hashed together; a power of two dividing 2**32, so every path of a
-# chunk has as many 32-bit words as the chunk's first
+# paths hashed together: chunks of _FIRST_CHUNK paths start at paths 0 and
+# 256, then each chunk doubles (512 paths at 512, ..., 2,048 at 2,048) up to
+# _CHUNK; each size is a power of two dividing 2**32 and the chunk's first
+# path, so every path of a chunk has as many 32-bit words as its first, and
+# an estimate of a few hundred paths hashes a few hundred seeds
+_FIRST_CHUNK = 256
 _CHUNK = 4096
 
 
@@ -941,22 +949,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _chunk_seeds(seed: int, chunk: int) -> np.ndarray:
-    """PCG64 seed words of the paths of one chunk, shape (_CHUNK, 4) uint64.
+def _chunk_seeds(seed: int, first: int, size: int) -> np.ndarray:
+    """PCG64 seed words of paths ``first`` to ``first + size - 1``, shape (size, 4) uint64.
 
-    Row ``j`` equals ``SeedSequence([seed, chunk * _CHUNK + j])
+    Row ``j`` equals ``SeedSequence([seed, first + j])
     .generate_state(4, np.uint64)``: the same mixing, run in uint32 arrays
     across the chunk's paths at once.  Callers walk paths in order, so two
     cached chunks cover a chunk boundary or a second seed.
     """
-    path_words = _int_words(chunk * _CHUNK)
+    path_words = _int_words(first)
     words = _int_words(seed) + path_words
-    entropy = np.empty((len(words), _CHUNK), dtype=np.uint32)
+    entropy = np.empty((len(words), size), dtype=np.uint32)
     entropy[:] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words) - len(path_words)] += np.arange(_CHUNK, dtype=np.uint32)
+    entropy[len(words) - len(path_words)] += np.arange(size, dtype=np.uint32)
 
     hashmix = _hasher(_INIT_A, _MULT_A)
-    zeros = np.zeros(_CHUNK, dtype=np.uint32)
+    zeros = np.zeros(size, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(words) else zeros) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
@@ -968,7 +976,7 @@ def _chunk_seeds(seed: int, chunk: int) -> np.ndarray:
 
     # generate_state(4, uint64): eight uint32 words, paired little-endian
     hashout = _hasher(_INIT_B, _MULT_B)
-    state = np.empty((_CHUNK, 2 * _POOL), dtype=np.uint32)
+    state = np.empty((size, 2 * _POOL), dtype=np.uint32)
     for i in range(2 * _POOL):
         state[:, i] = hashout(pool[i % _POOL])
     seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
@@ -983,7 +991,7 @@ class _PathSeed(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a path seed only yields PCG64's four uint64 words")
         return self._words
 
@@ -997,7 +1005,9 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
     seed, path = int(seed), int(path)
     if seed < 0 or path < 0:
         raise ValueError(f"stream ids must be non-negative, not ({seed}, {path})")
-    words = _chunk_seeds(seed, path // _CHUNK)[path % _CHUNK]
+    size = _CHUNK if path >= _CHUNK else max(_FIRST_CHUNK, (1 << path.bit_length()) >> 1)
+    first = path & -size
+    words = _chunk_seeds(seed, first, size)[path - first]
     return np.random.Generator(np.random.PCG64(_PathSeed(words)))
 
 
@@ -1174,15 +1184,31 @@ def _em_run(spec: DiffusionModel, x0: np.ndarray, t: float, dt: float, normals: 
     for s in range(steps):
         h = dt if s < n_full else rem
         z = normals[s]
+        # (x + drift*h) + noise, formed in the model's fresh arrays by the
+        # same operations in the same order, so with the same bits
         drift, cov = spec._drift_covariance(x)
         if cov.ndim == 2:
-            noise = np.sqrt(np.maximum(cov, 0.0) * h) * z
+            noise = np.maximum(cov, 0.0, out=cov)
+            noise *= h
+            np.sqrt(noise, out=noise)
+            noise *= z
         else:
-            noise = sqrt(h) * np.einsum("pij,pj->pi", _psd_sqrt_batch(cov), z)
-        x = spec.project(x + drift * h + noise, x)
-        if np.any(np.isnan(x)):
+            noise = np.einsum("pij,pj->pi", _psd_sqrt_batch(cov), z)
+            noise *= sqrt(h)
+        drift *= h
+        drift += x
+        drift += noise
+        x = spec.project(drift, x)
+        # min propagates a NaN
+        if np.isnan(x.min()):
             raise FloatingPointError("NaN encountered along a diffusion path")
     return x
+
+
+# paths whose normals are drawn path-major into one tile, then copied into
+# the step-major block with one transposed assignment; at 500 steps a tile
+# is 1 MB, and the copy reads 256 rows at once
+_TILE = 256
 
 
 def diffusion_endpoints(
@@ -1203,9 +1229,15 @@ def diffusion_endpoints(
     ``(seed, i)``; with ``antithetic`` the pair (2j, 2j + 1) is drawn once
     from stream ``(seed, j)`` and the odd path takes the negated increments.
     Paths run in blocks of ``block``, each a step-major (steps, paths, dim)
-    array that path ``i`` fills in its column; the result does not depend on
-    the block partition.
+    array in one buffer reused from block to block.  A tile of paths is
+    drawn path-major and copied into the block's columns; the result does
+    not depend on the block partition.  A block and tile larger than
+    physical memory are refused before any draw.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, not {n_paths}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, not {block}")
     x0v = _diffusion_model(spec).start(x0)
     if t == 0:
         return np.tile(x0v, (n_paths, 1))
@@ -1216,18 +1248,33 @@ def diffusion_endpoints(
     n_full, rem = _n_steps(t, dt)
     steps = n_full + (1 if rem > 0 else 0)
     dim = x0v.size
+    width = min(block, n_paths)
+    tile_width = min(_TILE, width)
+    need = (width + tile_width) * steps * dim * 8
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"the normals of {width} paths x {steps} steps x {dim} coordinates need about {need} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    buffer = np.empty(width * steps * dim)
+    tile = np.empty((tile_width, steps, dim))
     out = np.empty((n_paths, dim))
     for start in range(0, n_paths, block):
         stop = min(start + block, n_paths)
-        normals = np.empty((steps, stop - start, dim))
-        for i in range(start, stop):
-            if not antithetic:
-                normals[:, i - start] = path_rng(seed, i).standard_normal((steps, dim))
-            elif i % 2 == 0:
-                # the pair's odd path may open the next block; base carries over
-                base = path_rng(seed, i // 2).standard_normal((steps, dim))
-                normals[:, i - start] = base
-            else:
-                np.negative(base, out=normals[:, i - start])
+        normals = buffer[: (stop - start) * steps * dim].reshape(steps, stop - start, dim)
+        for lo in range(start, stop, tile_width):
+            hi = min(lo + tile_width, stop)
+            for row, i in zip(tile, range(lo, hi)):
+                if not antithetic:
+                    path_rng(seed, i).standard_normal((steps, dim), out=row)
+                elif i % 2 == 0:
+                    path_rng(seed, i // 2).standard_normal((steps, dim), out=row)
+                    base = row
+                else:
+                    # the pair's even path may close the previous tile or
+                    # block; its row is not overwritten before this one
+                    np.negative(base, out=row)
+            normals[:, lo - start : hi - start] = tile[: hi - lo].transpose(1, 0, 2)
         out[start:stop] = _em_run(spec, x0v, t, dt, normals)
     return out

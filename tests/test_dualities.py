@@ -267,6 +267,51 @@ class TestLogSpaceAgreement:
         assert np.isfinite(val) and val == pytest.approx(want, rel=1e-12)
 
 
+class TestEvaluateRoute:
+    """``auto`` multiplies the factors directly unless one leaves [1e-300, 1e300]."""
+
+    @staticmethod
+    def _evaluate(monkeypatch, factors):
+        """The value and whether the log route ran (it takes a log of each nonzero factor)."""
+        from duality_lab import dualities
+
+        logs = []
+
+        def spy(v):
+            logs.append(v)
+            return log(v)
+
+        monkeypatch.setattr(dualities, "log", spy)
+        value = evaluate(SimpleNamespace(factors=lambda p: factors), EvalPoint())
+        return value, bool(logs)
+
+    def test_an_underflowing_factor_takes_the_log_route(self, monkeypatch):
+        # (1e-200)^2 underflows to zero; times 1e250 the value is 1e-150
+        value, logged = self._evaluate(monkeypatch, [(1e-200, 2.0), (1e250, 1.0)])
+        assert logged
+        assert value == pytest.approx(1e-150, rel=1e-12)
+
+    # 1e301 is finite but past the safe range, and (1e200)^2 raises
+    @pytest.mark.parametrize("big, want", [((1e301, 1.0), 10.0), ((1e200, 2.0), 1e100)], ids=["past-the-range", "raising"])
+    def test_an_overflowing_factor_takes_the_log_route(self, monkeypatch, big, want):
+        value, logged = self._evaluate(monkeypatch, [big, (1e-300, 1.0)])
+        assert logged
+        assert value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [[(1e300, 1.0), (1e-300, 1.0)], [(0.0, 2.0), (3.0, 1.0)], [(-2.0, 3.0), (0.5, 1.0)], [(float("nan"), 1.0)]],
+        ids=["range-ends", "zero-base", "negative-base", "nan"],
+    )
+    def test_factors_inside_the_range_stay_direct(self, monkeypatch, factors):
+        want = 1.0
+        for base, power in factors:
+            want *= base**power
+        value, logged = self._evaluate(monkeypatch, factors)
+        assert not logged
+        assert np.array_equal(value, want, equal_nan=True)
+
+
 class TestProductGammaReduction:
     def test_one_trivial_factor_reduces_to_gamma_weighted(self):
         # a two-site product with one empty slot equals the single-site

@@ -556,6 +556,68 @@ class TestStepMajorBlocks:
         diffusion_endpoints(spec, x0, 0.255, 1e-2, seed=3, n_paths=60, antithetic=True, block=7)
         assert calls == list(range(30))
 
+    # blocks of odd width split antithetic pairs across tile and block
+    # boundaries; 20,000 holds every path in one block of several tiles
+    @pytest.mark.parametrize("block", [7, processes._TILE - 1, processes._TILE + 1, 20_000])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("case", sorted(STEP_MAJOR_CASES))
+    def test_endpoints_equal_reference_across_tiles(self, case, antithetic, block):
+        spec, x0 = STEP_MAJOR_CASES[case]
+        # three whole tiles and a remainder
+        args = (spec, x0, 0.255, 1e-2, 2025, 3 * processes._TILE + 10)
+        got = diffusion_endpoints(*args, antithetic=antithetic, block=block)
+        want = _reference_endpoints(*args, antithetic=antithetic, block=block)
+        assert np.array_equal(got, want)
+
+
+class TestDiffusionSizes:
+    """Path counts, block sizes and the normals' memory are checked before any stream is drawn."""
+
+    @staticmethod
+    def _streams(monkeypatch):
+        calls = []
+        real = processes.path_rng
+
+        def counting(seed, path):
+            calls.append(path)
+            return real(seed, path)
+
+        monkeypatch.setattr(processes, "path_rng", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [({"n_paths": -2}, "n_paths"), ({"n_paths": 0}, "n_paths"), ({"block": -3}, "block"), ({"block": 0}, "block")],
+    )
+    def test_sizes_below_one_are_refused(self, monkeypatch, sizes, name):
+        calls = self._streams(monkeypatch)
+        args = {"seed": 1, "n_paths": 4, **sizes}
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+            diffusion_endpoints(wf_multitype(2, 0.5), (0.3,), 0.255, 1e-2, **args)
+        assert calls == []
+
+    def test_normals_past_physical_memory_are_refused(self, monkeypatch):
+        calls = self._streams(monkeypatch)
+        monkeypatch.setattr(processes, "_physical_memory", lambda: 8 * 2**30)
+        # 5 million steps of 20,000 paths: about 745 GiB of normals
+        with pytest.raises(ValueError, match=r"need about \d+ bytes, more than the 8589934592 bytes of physical memory"):
+            diffusion_endpoints(wf_multitype(2, 0.5), (0.3,), 50.0, 1e-5, seed=1, n_paths=100_000)
+        assert calls == []
+
+    def test_the_block_and_its_tile_are_counted(self, monkeypatch):
+        calls = self._streams(monkeypatch)
+        spec = wf_multitype(3, 0.5)
+        # 10 paths in one block and one tile, 26 steps of 2 coordinates
+        need = (10 + 10) * 26 * 2 * 8
+        monkeypatch.setattr(processes, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"need about {need} bytes"):
+            diffusion_endpoints(spec, (0.3, 0.3), 0.255, 1e-2, seed=1, n_paths=10)
+        assert calls == []
+        for memory in (need, None):
+            monkeypatch.setattr(processes, "_physical_memory", lambda: memory)
+            assert diffusion_endpoints(spec, (0.3, 0.3), 0.255, 1e-2, seed=1, n_paths=10).shape == (10, 2)
+        assert calls == list(range(10)) * 2
+
 
 class TestGeneratorProperties:
     @settings(max_examples=25, deadline=None)
@@ -734,6 +796,16 @@ class TestPathRng:
     def test_negative_ids_are_rejected(self, seed, path):
         with pytest.raises(ValueError):
             path_rng(seed, path)
+
+    def test_matches_default_rng_across_the_chunk_schedule(self):
+        # chunks of 256 paths at 0 and 256, then 512, 1,024 and 2,048
+        # paths, then 4,096 each; each boundary is visited going up and
+        # again coming down, after the two cached chunks have moved on
+        firsts = [0, 256, 512, 1024, 2048, 4096, 8192]
+        paths = sorted({p + k for p in firsts for k in (-1, 0, 1) if p + k >= 0})
+        for seed in (3, 2**64 - 1):
+            for path in paths + paths[::-1]:
+                assert self._same_stream(path_rng(seed, path), seed, path), (seed, path)
 
     def test_seed_stand_in_serves_only_pcg64(self):
         seed_seq = path_rng(1, 2).bit_generator.seed_seq
