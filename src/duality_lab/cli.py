@@ -8,7 +8,8 @@ Usage::
 Commands: ``check-algebra``, ``check-exact``, ``check-pointwise``,
 ``run-mc``, ``reproduce-examples``.  Flag overrides win over config-file
 values; unknown config keys, values of another JSON type than the key's
-default, numbers below the key's floor and empty lists are rejected.
+default, numbers below the key's floor, names outside a key's choices
+(such as an unknown ``run-mc`` experiment) and empty lists are rejected.
 Each command yields its report rows; machine output goes to
 ``<out>/report.csv`` (or ``report.json``), wall-clock info to
 ``<out>/run.log``.  Exit status 0 when every row with a ``passed`` cell
@@ -401,7 +402,7 @@ def run_run_mc(cfg: dict) -> Iterator[dict]:
         f = np.array([dualities.evaluate_at(family, (x0, 1.0 - x0), (k[0], N - k[0])) for k in gen.index.states])
         oracle = exact.exact_expectation(gen, f, (frozen[0],), t).value
         params = f"x0={x0},theta={theta},N={N},frozen={cfg['frozen']},t={t},dt={dt}"
-    elif experiment == "wf-moment-vs-kingman":
+    else:  # wf-moment-vs-kingman
         n = cfg["n"]
         spec = processes.wf_general_1d({1: 1.0, 2: -1.0})
         family = dualities.DualityFamily("monomial")
@@ -410,8 +411,6 @@ def run_run_mc(cfg: dict) -> Iterator[dict]:
         f = np.array([dualities.evaluate_at(family, (x0,), state) for state in gen.index.states])
         oracle = exact.exact_expectation(gen, f, (n,), t).value
         params = f"x0={x0},n={n},t={t},dt={dt}"
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
 
     report = montecarlo.compare(side, oracle, tolerance_multiplier=cfg["tolerance_multiplier"], bias_budget=budget)
     yield {"experiment": experiment, "params": params, **report.as_row()}
@@ -448,6 +447,10 @@ _MINIMA: dict[str, dict[str, float]] = {
 }
 # keys that must be strictly positive: at t = 0 run-mc compares the start with itself
 _POSITIVE: dict[str, tuple[str, ...]] = {"run-mc": ("t",)}
+# string keys that must name one of the listed choices
+_CHOICES: dict[str, dict[str, tuple[str, ...]]] = {
+    "run-mc": {"experiment": ("heterozygosity", "wf-vs-moran", "wf-moment-vs-kingman")},
+}
 # comma-separated lists that must name at least one number
 _NONEMPTY_LISTS: dict[str, tuple[str, ...]] = {
     "check-exact": ("m_values", "semigroup_times"),
@@ -475,8 +478,9 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
     Every value the file sets must have the JSON type of the key's default:
     a boolean, an integer that is not a boolean, a finite number (stored as
     a float) or a string.  Keys with a floor in ``_MINIMA`` must reach it,
-    keys in ``_POSITIVE`` must exceed zero, and the lists in
-    ``_NONEMPTY_LISTS`` must name a number.
+    keys in ``_POSITIVE`` must exceed zero, keys in ``_CHOICES`` must name
+    one of their choices, and the lists in ``_NONEMPTY_LISTS`` must name a
+    number.
     Anything else raises ``ValueError`` naming the key.
     """
     cfg = dict(DEFAULTS[command])
@@ -499,6 +503,9 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
     for key in _POSITIVE.get(command, ()):
         if cfg[key] <= 0:
             raise ValueError(f"config key {key!r} must be positive, not {cfg[key]}")
+    for key, choices in _CHOICES.get(command, {}).items():
+        if cfg[key] not in choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(choices)}, not {cfg[key]!r}")
     for key in _NONEMPTY_LISTS.get(command, ()):
         try:
             values = _floats(cfg[key])

@@ -7,8 +7,8 @@ multiplies directly or, once one leaves the safe double range, in log space
 with sign tracking (the two agree to relative 1e-12).  Matrix forms are
 ``matrix(rows, cols)``; the pointwise engine reads ``value(u, w)``,
 ``u_partial`` and ``w_partial``; the estimator reads ``slots`` (each slot's
-type; both of one size), ``lifted`` (reads the d-type state with its last
-type) and ``occupancy`` (the occupied-site indicator along a jump process).
+type; both of one size) and ``lifted`` (reads the d-type state with its last
+type).
 
 Slots (first argument, second argument) and formulas:
 
@@ -25,8 +25,8 @@ product-gamma          continuous simplex x, discrete k (d each):
 moran-self-dual        discrete k, discrete xi: zero unless xi <= k, else
                        prod k_i!/(k_i-xi_i)! Gamma(a)/Gamma(a + xi_i); a is
                        m/2, or 2 theta/(d-1) with k summing to N (Moran)
-limiting-sip           discrete xi, continuous x: prod over occupied sites
-                       of x_i^xi_i / (xi_i - 1)!
+limiting-sip           discrete xi, continuous x: zero unless every site is
+                       occupied, else prod x_i^xi_i / (xi_i - 1)!
 =====================  ======================================================
 """
 
@@ -113,7 +113,6 @@ class _Duality:
     kind: ClassVar[str]
     slots: ClassVar[tuple[type, type]] = (float, int)
     lifted: ClassVar[bool] = False
-    occupancy: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -276,23 +275,29 @@ class ProductGamma(_Duality):
 
 @dataclass(frozen=True)
 class LimitingSip(_Duality):
-    """``prod x_i^xi_i / (xi_i - 1)!`` over the occupied sites, the vanishing-mutation limit."""
+    """``prod x_i^xi_i / (xi_i - 1)!``, zero unless every site is occupied: the vanishing-mutation limit.
+
+    It is ``product-gamma`` at theta -> 0: an empty site's factor there is
+    1/Gamma(a), which vanishes with a.  The inclusion process at m = 0
+    never refills an empty site, so the dual chain is killed once one
+    empties.
+    """
 
     kind = "limiting-sip"
     slots = (int, float)
     lifted = True
-    occupancy = True
 
     def factors(self, p: EvalPoint) -> list[tuple[float, float]]:
         c, n = p.continuous, p.discrete
         if len(c) != len(n) or not c:
-            raise ValueError("limiting-sip needs matching occupancy and coordinate vectors")
+            raise ValueError("limiting-sip needs matching count and coordinate vectors")
+        if min(n) < 1:
+            return [(0.0, 1.0)]
         out = []
         for x, xi in zip(c, n):
-            if xi >= 1:
-                out.append((x, float(xi)))
-                out.append((_E, -lgamma(xi)))
-        return out or [(1.0, 1.0)]
+            out.append((x, float(xi)))
+            out.append((_E, -lgamma(xi)))
+        return out
 
 
 @dataclass(frozen=True)

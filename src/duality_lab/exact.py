@@ -27,7 +27,7 @@ arrays over one common denominator, multiplied as they are and compared by
 cross-multiplying.
 
 The worked-example reproductions compare a quoted closed form against the
-matrix-exponential value and report both without asserting agreement; two
+matrix-exponential value and report both without asserting agreement; three
 of the four closed forms are known not to match the generator-level ground
 truth (see the package README).
 """
@@ -577,16 +577,6 @@ def sip_self_duality_matrix(
 EXAMPLE_IDS = ("heterozygosity", "x2y-two-type", "d-type-product", "x2-product-d-type")
 
 
-def _sip0_distribution(d: int, start: tuple[int, ...], t: float) -> tuple[processes.StateIndex, np.ndarray]:
-    spec = processes.sip(d=d, m=0.0)
-    gen = processes.generator_matrix(spec, truncation=sum(start))
-    i = gen.index.pos[start]
-    row = np.zeros(len(gen.index))
-    row[i] = 1.0
-    probs = matrix_exponential_apply(gen, row, t, transpose=True)
-    return gen.index, probs
-
-
 def reproduce_example(
     example_id: str,
     *,
@@ -598,31 +588,33 @@ def reproduce_example(
 ) -> ExampleRecord:
     """Recompute one worked example: quoted closed form vs exact oracle.
 
-    The oracle side is always a matrix exponential of the inclusion-process
-    generator on the relevant sector; the record carries both values and
-    their absolute difference without asserting agreement.
+    Each example is E_x D(xi, X_t) for the Wright-Fisher diffusion without
+    mutation, at coordinates ``(x, y)`` or ``xs`` (by default uniform over
+    ``d`` types) and a start ``xi``.  The oracle is the dual side,
+    E_xi D(xi_t, x): the law of the inclusion process at m = 0 from ``xi``
+    at time ``t``, a matrix exponential on its sector, against the killed
+    ``limiting-sip`` function at each state.  The record carries both values
+    and their absolute difference without asserting agreement.
     """
+    if example_id not in EXAMPLE_IDS:
+        raise ValueError(f"unknown example id {example_id!r}")
+    if example_id in ("heterozygosity", "x2y-two-type"):
+        xs = (x, y)
+    elif xs is None:
+        xs = tuple(1.0 / d for _ in range(d))
+    elif len(xs) != d:
+        raise ValueError("xs must list d coordinates")
+    xs = tuple(float(v) for v in xs)
     if example_id == "heterozygosity":
         closed = x * y * exp(-t)
-        index, probs = _sip0_distribution(2, (1, 1), t)
-        oracle = x * y * probs[index.pos[(1, 1)]]
-        return ExampleRecord(example_id, closed, float(oracle))
-    if example_id == "x2y-two-type":
+        start = (1, 1)
+    elif example_id == "x2y-two-type":
         closed = 0.5 * exp(-2 * t) * (x * x * y * (1 + exp(-2 * t)) + x * y * y * (1 - exp(-2 * t)))
-        index, probs = _sip0_distribution(2, (2, 1), t)
-        oracle = x * x * y * probs[index.pos[(2, 1)]] + x * y * y * probs[index.pos[(1, 2)]]
-        return ExampleRecord(example_id, closed, float(oracle))
-    if xs is None:
-        xs = tuple(1.0 / d for _ in range(d))
-    xs = tuple(float(v) for v in xs)
-    if len(xs) != d:
-        raise ValueError("xs must list d coordinates")
-    if example_id == "d-type-product":
+        start = (2, 1)
+    elif example_id == "d-type-product":
         closed = float(np.prod(xs)) * exp(-(d - 1) * t)
-        index, probs = _sip0_distribution(d, (1,) * d, t)
-        oracle = float(np.prod(xs)) * probs[index.pos[(1,) * d]]
-        return ExampleRecord(example_id, closed, float(oracle))
-    if example_id == "x2-product-d-type":
+        start = (1,) * d
+    else:
         # quoted walker distribution: stay weight exp(-2dt) at the start
         # site plus a uniform (1 - exp(-2dt))/d share everywhere
         decay = exp(-d * (d - 1) * t)
@@ -633,10 +625,10 @@ def reproduce_example(
             closed += xs[i] ** 2 * np.prod([xs[j] for j in range(d) if j != i]) * weight
         closed *= decay
         start = (2,) + (1,) * (d - 1)
-        index, probs = _sip0_distribution(d, start, t)
-        oracle = 0.0
-        for i in range(d):
-            state = tuple(2 if j == i else 1 for j in range(d))
-            oracle += xs[i] ** 2 * np.prod([xs[j] for j in range(d) if j != i]) * probs[index.pos[state]]
-        return ExampleRecord(example_id, float(closed), float(oracle))
-    raise ValueError(f"unknown example id {example_id!r}")
+    gen = processes.generator_matrix(processes.sip(d=len(start), m=0.0), truncation=sum(start))
+    row = np.zeros(len(gen.index))
+    row[gen.index.pos[start]] = 1.0
+    probs = matrix_exponential_apply(gen, row, t, transpose=True)
+    family = dualities.LimitingSip()
+    oracle = probs @ [dualities.evaluate(family, dualities.EvalPoint(xs, s)) for s in gen.index.states]
+    return ExampleRecord(example_id, float(closed), float(oracle))

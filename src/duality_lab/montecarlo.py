@@ -111,15 +111,12 @@ def estimate_duality_side(
     frozen,
     t: float,
     cfg: EstimatorConfig,
-    *,
-    endpoint_slot: str = "first",
 ) -> SideEstimate:
     """Sample mean and standard error of D(X_t, frozen) over seeded paths.
 
     The endpoint fills the slot of its type (``family.slots``) and
-    ``frozen``, of the same size, the other; ``endpoint_slot`` resolves the
-    order for families whose two slots have the same type ("first" puts the
-    simulated endpoint in the duality function's first slot).
+    ``frozen``, of the same size, the other; where both slots have one
+    type, the endpoint fills the first.
 
     Along a diffusion, ``processes.diffusion_endpoints`` simulates every
     path first; the endpoints are lifted to the simplex in one array
@@ -130,17 +127,10 @@ def estimate_duality_side(
     Along a jump process, ``processes.sample_jump`` draws every path's
     endpoint in one call, from the streams of ``processes.path_rng``; the
     evaluation point of each distinct endpoint is built once, and
-    ``dualities.evaluate`` still runs once per path.
-
-    For the limiting occupancy duality (``family.occupancy``) evaluated
-    along a jump process, the estimator multiplies by the indicator that
-    the number of occupied sites is conserved; that is the only
-    contribution surviving the vanishing-mutation limit when every site
-    starts occupied, and starting configurations with an empty site are
-    rejected.
+    ``dualities.evaluate`` still runs once per path.  A killed duality
+    function, such as ``limiting-sip``, is zero past the killing time by
+    its own factors.
     """
-    if endpoint_slot not in ("first", "second"):
-        raise ValueError("endpoint_slot must be 'first' or 'second'")
     if cfg.t != t:
         cfg = EstimatorConfig(cfg.n_paths, cfg.seed, cfg.dt, t, cfg.antithetic)
     lift = family.lifted
@@ -148,7 +138,7 @@ def estimate_duality_side(
     if isinstance(spec, DiffusionModel):
         endpoints = spec.start(start)[None, :]
         size = (spec.lift(endpoints) if lift else endpoints).shape[1]
-        point = _point_maker(family, frozen, endpoint_slot, float, size)
+        point = _point_maker(family, frozen, float, size)
         if t > 0:
             endpoints = processes.diffusion_endpoints(
                 spec, start, t, cfg.dt, cfg.seed, cfg.n_paths, antithetic=cfg.antithetic
@@ -163,40 +153,25 @@ def estimate_duality_side(
     if not isinstance(spec, JumpModel):
         raise TypeError(f"a {type(spec).__name__} is not a model: pass the DiffusionModel or the JumpModel itself")
     start_t = tuple(int(v) for v in np.atleast_1d(start))
-    full0 = spec.lift(start_t) if lift else start_t
-    if family.occupancy and min(full0) < 1:
-        raise ValueError(f"{family.kind} estimation requires every site occupied at the start, not {full0}")
-    point = _point_maker(family, frozen, endpoint_slot, int, len(full0))
+    point = _point_maker(family, frozen, int, len(spec.lift(start_t) if lift else start_t))
     rngs = (processes.path_rng(cfg.seed, i) for i in range(cfg.n_paths))
     endpoints = processes.sample_jump(spec, start_t, t, rngs)
-    # each distinct endpoint's point, and whether it lost an occupied site
-    points = {}
-    for endpoint in set(endpoints):
-        disc = spec.lift(endpoint) if lift else endpoint
-        points[endpoint] = (point(disc), family.occupancy and min(disc) < 1)
-    values = []
-    for endpoint in endpoints:
-        p, lost = points[endpoint]
-        value = dualities.evaluate(family, p)
-        values.append(0.0 if lost else value)
-    return _mean_se(values)
+    points = {e: point(spec.lift(e) if lift else e) for e in set(endpoints)}
+    return _mean_se([dualities.evaluate(family, points[e]) for e in endpoints])
 
 
-def _point_maker(family, frozen, endpoint_slot: str, endpoint_type: type, size: int):
+def _point_maker(family, frozen, endpoint_type: type, size: int):
     """The map from an endpoint, a tuple of ``size`` floats or ints, to the evaluation point."""
     slots = family.slots
-    at = ("first", "second").index(endpoint_slot) if slots[0] is slots[1] else slots.index(endpoint_type)
-    if slots[at] is not endpoint_type:
+    if endpoint_type not in slots:
         raise ValueError(f"{family.kind} has no {endpoint_type.__name__} slot for the endpoint")
-    other = tuple(slots[1 - at](v) for v in np.atleast_1d(frozen))
+    other = tuple(slots[1 - slots.index(endpoint_type)](v) for v in np.atleast_1d(frozen))
     if len(other) != size:
         raise ValueError(f"{family.kind} needs slots of one size, not an endpoint of {size} and a frozen {len(other)}")
-    if slots[0] is not slots[1]:
-        return (lambda e: EvalPoint(e, other)) if endpoint_type is float else (lambda e: EvalPoint(other, e))
-    # slots of one type are concatenated in slot order
-    if endpoint_type is float:
-        return (lambda e: EvalPoint(e + other)) if at == 0 else (lambda e: EvalPoint(other + e))
-    return (lambda e: EvalPoint((), e + other)) if at == 0 else (lambda e: EvalPoint((), other + e))
+    # slots of one type are concatenated, the endpoint's first
+    if slots[0] is slots[1]:
+        return (lambda e: EvalPoint(e + other)) if endpoint_type is float else (lambda e: EvalPoint((), e + other))
+    return (lambda e: EvalPoint(e, other)) if endpoint_type is float else (lambda e: EvalPoint(other, e))
 
 
 def compare(

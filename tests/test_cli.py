@@ -178,6 +178,13 @@ class TestConfigTypes:
         assert err.startswith("config error:") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
+        # this opened run.log and exited 1 as a runtime failure
+        assert run_cli(tmp_path, "run-mc", dict(FAST_MC, experiment="heterozygocity")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'experiment'" in err and "heterozygocity" in err
+        assert not (tmp_path / "out" / "run.log").exists()
+
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run-mc", FAST_MC, extra=["--seed", "-1"]) == 2
         assert "'seed'" in capsys.readouterr().err
@@ -329,7 +336,7 @@ class TestGoldenReports:
                 else:
                     assert abs(gf - wf) <= GOLDEN_FLOAT_TOL, (want_row, got_row)
 
-    @pytest.mark.parametrize("command", ["check-algebra", "check-exact", "check-pointwise", "reproduce-examples"])
+    @pytest.mark.parametrize("command", ["check-algebra", "check-exact", "check-pointwise"])
     def test_default_report_matches_golden(self, tmp_path, command):
         assert cli.main([command, "--out", str(tmp_path / "out")]) == 0
         self._assert_matches(tmp_path / "out" / "report.csv", f"{command}.csv")
@@ -342,6 +349,20 @@ class TestGoldenReports:
     def test_report_at_forty_matches_golden(self, tmp_path, command, config):
         assert run_cli(tmp_path, command, config) == 0
         self._assert_matches(tmp_path / "out" / "report.csv", f"{command}-N40.csv")
+
+
+class TestGoldenExampleReports:
+    """``reproduce-examples`` at d = 3 (the default) and d = 4 against ``tests/golden``, byte for byte.
+
+    Both files were written before the oracle took the duality function
+    from the catalog; the catalog's product and sum orders give the same
+    floats at these configs, so no float tolerance applies.
+    """
+
+    @pytest.mark.parametrize("d, golden", [(3, "reproduce-examples.csv"), (4, "reproduce-examples-d4.csv")])
+    def test_report_matches_golden_bytes(self, tmp_path, d, golden):
+        assert run_cli(tmp_path, "reproduce-examples", None if d == 3 else {"d": d}) == 0
+        assert (tmp_path / "out" / "report.csv").read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_check_exact_builds_each_rational_generator_once(monkeypatch):

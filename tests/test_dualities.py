@@ -125,11 +125,13 @@ class TestEvaluate:
         fam = DualityFamily("monomial")
         assert evaluate_at(fam, (0.5, 2.0), (2, 3)) == pytest.approx(0.25 * 8.0)
 
-    def test_limiting_occupancy_skips_empty_sites(self):
+    def test_limiting_sip_is_zero_once_a_site_is_empty(self):
+        # the dual chain is killed once a site empties
         fam = DualityFamily("limiting-sip")
-        val = evaluate_at(fam, (0.3, 0.7), (0, 2))
-        assert val == pytest.approx(0.7**2 / 1.0)
-        assert evaluate_at(fam, (0.3, 0.7), (0, 0)) == 1.0
+        assert evaluate_at(fam, (0.3, 0.7), (0, 2)) == 0.0
+        assert evaluate_at(fam, (0.3, 0.7), (0, 0)) == 0.0
+        assert fam.factors(EvalPoint((0.3, 0.7), (2, 0))) == [(0.0, 1.0)]
+        assert evaluate_at(fam, (0.3, 0.7), (1, 2)) == pytest.approx(0.3 * 0.7**2)
 
     def test_self_dual_form_vanishes_without_majorization(self):
         fam = DualityFamily("moran-self-dual", N=4, theta=0.5, d=2)
@@ -475,13 +477,14 @@ def _reference_factors(family, p):
         return out or [(1.0, 1.0)]
     if kind == "limiting-sip":
         if len(c) != len(n) or not c:
-            raise ValueError("limiting-sip needs matching occupancy and coordinate vectors")
+            raise ValueError("limiting-sip needs matching count and coordinate vectors")
         out = []
         for x, xi in zip(c, n):
-            if xi >= 1:
-                out.append((x, float(xi)))
-                out.append((_E, -lgamma(xi)))
-        return out or [(1.0, 1.0)]
+            if xi < 1:
+                return [(0.0, 1.0)]
+            out.append((x, float(xi)))
+            out.append((_E, -lgamma(xi)))
+        return out
     raise ValueError(f"unknown duality kind {kind!r}")
 
 

@@ -40,7 +40,7 @@ class TestDegenerateHorizon:
     def test_jump_side(self):
         spec = processes.moran_multitype(3, 2, 0.5)
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
-        side = estimate_duality_side(spec, fam, (2,), (0.3, 0.7), 0.0, het_config(t=0.0), endpoint_slot="second")
+        side = estimate_duality_side(spec, fam, (2,), (0.3, 0.7), 0.0, het_config(t=0.0))
         assert side.mean == pytest.approx(evaluate_at(fam, (0.3, 0.7), (2, 1)))
         assert side.se == 0.0
 
@@ -58,8 +58,8 @@ class TestDeterminism:
         spec = processes.sip(2, 0.0)
         fam = DualityFamily("limiting-sip")
         cfg = het_config(n_paths=500, dt=1e-2)
-        a = estimate_duality_side(spec, fam, (1, 1), (0.3, 0.7), 0.5, cfg, endpoint_slot="second")
-        b = estimate_duality_side(spec, fam, (1, 1), (0.3, 0.7), 0.5, cfg, endpoint_slot="second")
+        a = estimate_duality_side(spec, fam, (1, 1), (0.3, 0.7), 0.5, cfg)
+        b = estimate_duality_side(spec, fam, (1, 1), (0.3, 0.7), 0.5, cfg)
         assert a == b
 
     def test_seed_changes_result(self):
@@ -90,7 +90,7 @@ class TestSlotChecks:
         spec = processes.moran_multitype(3, 2, 0.5)
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
         with pytest.raises(ValueError, match="not an endpoint of 2 and a frozen 3"):
-            estimate_duality_side(spec, fam, (2,), (0.3, 0.3, 0.4), 0.5, het_config(n_paths=100), endpoint_slot="second")
+            estimate_duality_side(spec, fam, (2,), (0.3, 0.3, 0.4), 0.5, het_config(n_paths=100))
 
     def test_discrete_family_along_a_diffusion_is_rejected(self):
         fam = DualityFamily("hypergeometric-finite", N=3)
@@ -101,7 +101,7 @@ class TestSlotChecks:
         gen = processes.generator_matrix(processes.moran_multitype(3, 2, 0.5))
         fam = DualityFamily("product-gamma", theta=0.5, d=2)
         with pytest.raises(TypeError, match="GeneratorMatrix is not a model: pass the DiffusionModel or the JumpModel itself"):
-            estimate_duality_side(gen, fam, (2,), (0.3, 0.7), 0.5, het_config(n_paths=100), endpoint_slot="second")
+            estimate_duality_side(gen, fam, (2,), (0.3, 0.7), 0.5, het_config(n_paths=100))
 
 
 class TestCompare:
@@ -162,7 +162,7 @@ class TestAgainstExactOracles:
         spec = processes.moran_multitype(N, 2, theta)
         fam = DualityFamily("product-gamma", theta=theta, d=2)
         cfg = het_config(n_paths=4000, seed=41)
-        side = estimate_duality_side(spec, fam, (2,), (x0, 1 - x0), t, cfg, endpoint_slot="second")
+        side = estimate_duality_side(spec, fam, (2,), (x0, 1 - x0), t, cfg)
         gen = processes.generator_matrix(spec)
         f = np.array([evaluate_at(fam, (x0, 1 - x0), (k[0], N - k[0])) for k in gen.index.states])
         oracle = exact.exact_expectation(gen, f, (2,), t).value
@@ -171,11 +171,14 @@ class TestAgainstExactOracles:
 
 
 class TestLimitingOccupancyGuard:
-    def test_rejects_initially_empty_site(self):
-        spec = processes.sip(2, 0.0)
+    def test_empty_site_gives_zero_on_both_sides(self):
+        # from xi = (2, 0) the m = 0 chain never moves; the killed function
+        # is zero there, as is E_x of it along the diffusion
         fam = DualityFamily("limiting-sip")
-        with pytest.raises(ValueError, match="occupied"):
-            estimate_duality_side(spec, fam, (2, 0), (0.3, 0.7), 0.5, het_config(n_paths=100), endpoint_slot="second")
+        cfg = het_config(n_paths=100)
+        diffusion = estimate_duality_side(processes.wf_multitype(2, 0.0), fam, (0.3,), (2, 0), 0.5, cfg)
+        jump = estimate_duality_side(processes.sip(2, 0.0), fam, (2, 0), (0.3, 0.7), 0.5, cfg)
+        assert diffusion == jump == SideEstimate(mean=0.0, se=0.0, n=100)
 
     def test_indicator_zeroes_lost_occupancy(self):
         # from (1,1) every jump empties a site, so the estimate equals the
@@ -184,7 +187,7 @@ class TestLimitingOccupancyGuard:
         fam = DualityFamily("limiting-sip")
         cfg = het_config(n_paths=4000, seed=51)
         x = (0.3, 0.7)
-        side = estimate_duality_side(spec, fam, (1, 1), x, 1.0, cfg, endpoint_slot="second")
+        side = estimate_duality_side(spec, fam, (1, 1), x, 1.0, cfg)
         survive = sum(
             1
             for i in range(cfg.n_paths)
@@ -206,7 +209,7 @@ class TestBothSidesConsistency:
             cfg_d = EstimatorConfig(n_paths=3000, seed=seed, dt=2e-3, t=t)
             lhs = estimate_duality_side(wf, fam, (x0,), (2, 1), t, cfg_d)
             cfg_j = EstimatorConfig(n_paths=3000, seed=seed + 1000, dt=2e-3, t=t)
-            rhs = estimate_duality_side(moran, fam, (2,), (x0, 1 - x0), t, cfg_j, endpoint_slot="second")
+            rhs = estimate_duality_side(moran, fam, (2,), (x0, 1 - x0), t, cfg_j)
             rep = compare(lhs, rhs, bias_budget=5 * cfg_d.dt)
             passes += rep.passed
         assert passes >= 19
@@ -283,19 +286,18 @@ class TestJumpPathPinned:
 # ---------------------------------------------------------------------------
 
 
-def _reference_eval_pair(family, endpoint, frozen, endpoint_slot):
+def _reference_eval_pair(family, endpoint, frozen):
     from duality_lab.dualities import EvalPoint, evaluate
 
     frozen_t = tuple(np.atleast_1d(frozen))
     if family.kind == "exponential":
-        pair = (endpoint[0], float(frozen_t[0])) if endpoint_slot == "first" else (float(frozen_t[0]), endpoint[0])
-        return evaluate(family, EvalPoint(continuous=tuple(pair)))
+        return evaluate(family, EvalPoint(continuous=(endpoint[0], float(frozen_t[0]))))
     cont = tuple(float(v) for v in endpoint)
     disc = tuple(int(v) for v in frozen_t)
     return evaluate(family, EvalPoint(continuous=cont, discrete=disc))
 
 
-def _reference_diffusion_values(spec, family, start, frozen, t, cfg, endpoint_slot="first"):
+def _reference_diffusion_values(spec, family, start, frozen, t, cfg):
     lift = spec.kind == "wf-multitype" and family.kind in ("product-gamma", "limiting-sip", "monomial")
     if t == 0:
         rows = [np.atleast_1d(np.asarray(start, dtype=float))]
@@ -306,40 +308,30 @@ def _reference_diffusion_values(spec, family, start, frozen, t, cfg, endpoint_sl
         cont = tuple(float(v) for v in row)
         if lift:
             cont = cont + (float(1.0 - row.sum()),)
-        values.append(_reference_eval_pair(family, cont, frozen, endpoint_slot))
+        values.append(_reference_eval_pair(family, cont, frozen))
     return values
 
 
 ESTIMATOR_CASES = {
-    "limiting-sip": (processes.wf_multitype(2, 0.0), DualityFamily("limiting-sip"), (0.3,), (1, 1), "first"),
+    "limiting-sip": (processes.wf_multitype(2, 0.0), DualityFamily("limiting-sip"), (0.3,), (1, 1)),
     "product-gamma-d2": (
         processes.wf_multitype(2, 0.5),
         DualityFamily("product-gamma", theta=0.5, d=2),
         (0.3,),
         (2, 1),
-        "first",
     ),
     "product-gamma-d3": (
         processes.wf_multitype(3, 0.4),
         DualityFamily("product-gamma", theta=0.4, d=3),
         (0.2, 0.5),
         (1, 0, 2),
-        "first",
     ),
-    "monomial": (processes.wf_general_1d({1: 1.0, 2: -1.0}), DualityFamily("monomial"), (0.3,), (2,), "first"),
+    "monomial": (processes.wf_general_1d({1: 1.0, 2: -1.0}), DualityFamily("monomial"), (0.3,), (2,)),
     "exponential-first": (
         processes.wf_general_1d({1: 1.0, 2: -1.0}),
         DualityFamily("exponential"),
         (0.4,),
         (0.7,),
-        "first",
-    ),
-    "exponential-second": (
-        processes.wf_general_1d({1: 1.0, 2: -1.0}),
-        DualityFamily("exponential"),
-        (0.4,),
-        (-1.3,),
-        "second",
     ),
 }
 
@@ -350,10 +342,10 @@ class TestHoistedDiffusionLoop:
     @pytest.mark.parametrize("t", [0.0, 0.3])
     @pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
     def test_matches_per_path_reference(self, case, t):
-        spec, fam, start, frozen, slot = ESTIMATOR_CASES[case]
+        spec, fam, start, frozen = ESTIMATOR_CASES[case]
         cfg = EstimatorConfig(n_paths=300, seed=17, dt=1e-2, t=t)
-        got = estimate_duality_side(spec, fam, start, frozen, t, cfg, endpoint_slot=slot)
-        values = _reference_diffusion_values(spec, fam, start, frozen, t, cfg, slot)
+        got = estimate_duality_side(spec, fam, start, frozen, t, cfg)
+        values = _reference_diffusion_values(spec, fam, start, frozen, t, cfg)
         if t == 0:
             assert got == SideEstimate(mean=values[0], se=0.0, n=cfg.n_paths)
         else:
