@@ -393,8 +393,6 @@ def run_run_mc(cfg: dict) -> Iterator[dict]:
         theta = cfg["theta"]
         N = cfg["N"]
         frozen = _ints(cfg["frozen"])
-        if len(frozen) != 2 or sum(frozen) != N:
-            raise ValueError("frozen must list both type counts and sum to N")
         spec = processes.wf_multitype(2, theta)
         family = dualities.DualityFamily("product-gamma", theta=theta, d=2)
         side = montecarlo.estimate_duality_side(spec, family, (x0,), frozen, t, est_cfg)
@@ -480,8 +478,8 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
     a float) or a string.  Keys with a floor in ``_MINIMA`` must reach it,
     keys in ``_POSITIVE`` must exceed zero, keys in ``_CHOICES`` must name
     one of their choices, and the lists in ``_NONEMPTY_LISTS`` must name a
-    number.
-    Anything else raises ``ValueError`` naming the key.
+    number.  The wf-vs-moran run's ``frozen`` must list two type counts
+    summing to ``N``.  Anything else raises ``ValueError`` naming the key.
     """
     cfg = dict(DEFAULTS[command])
     if config_path is not None:
@@ -513,6 +511,13 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
             values = ()
         if not values:
             raise ValueError(f"config key {key!r} must list at least one number, not {cfg[key]!r}")
+    if command == "run-mc" and cfg["experiment"] == "wf-vs-moran":
+        try:
+            frozen = _ints(cfg["frozen"])
+        except ValueError:
+            frozen = ()
+        if len(frozen) != 2 or sum(frozen) != cfg["N"]:
+            raise ValueError("frozen must list both type counts and sum to N")
     return cfg
 
 

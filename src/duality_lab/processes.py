@@ -37,9 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, floor, fsum, prod, sqrt
+from math import comb, floor, frexp, fsum, isfinite, prod, sqrt
 from types import MappingProxyType
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -105,7 +105,8 @@ class StateIndex:
 
 
 # Enumerated windows and their target columns, kept by value: both are
-# immutable and deterministic, so builds over one window share them.  The
+# immutable and deterministic, so builds over one window share them, and
+# with the targets the rate-free CSR plan of the window's latest build.  The
 # least recently used go once all together pass this many bytes.
 _MEMO_BYTES = 32 << 20
 _memo: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
@@ -114,17 +115,23 @@ _memo_bytes = 0
 
 def _memoised(key: tuple, build: Callable[[], object], nbytes: Callable[[object], int]) -> object:
     """``build()``, kept under ``key`` among the most recently used values."""
-    global _memo_bytes
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key][0]
     value = build()
-    size = nbytes(value)
+    _keep(key, value, nbytes(value))
+    return value
+
+
+def _keep(key: tuple, value: object, size: int) -> None:
+    """Keep ``value`` of ``size`` bytes under ``key`` as the most recently used, replacing any value there."""
+    global _memo_bytes
+    if key in _memo:
+        _memo_bytes -= _memo.pop(key)[1]
     _memo[key] = (value, size)
     _memo_bytes += size
     while _memo_bytes > _MEMO_BYTES:
         _memo_bytes -= _memo.popitem(last=False)[1][1]
-    return value
 
 
 def _compositions(d: int, N: int) -> np.ndarray:
@@ -238,7 +245,9 @@ class JumpModel:
     (n, d) block of states ``K``: an (m, d) integer array of deltas, one per
     move, and an (n, m) array of rates, column ``c`` the rate of state
     ``K[i] -> K[i] + deltas[c]``; a move whose rate is not positive is not
-    taken.  The rates are in the number type ``num``: ``float`` on an
+    taken.  Rates formed move by move, as the transpose of an (m, n)
+    array, are read by the generator build one contiguous row per move,
+    without a copy.  The rates are in the number type ``num``: ``float`` on an
     integer ``K``, ``Fraction`` on an object array of ints.  Subclasses also
     give ``index(truncation)``, the enumerated state space; a transition that
     leaves it is dropped.  Every generator, sampler and check reads the
@@ -475,7 +484,10 @@ def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _inclusion_moves(K: np.ndarray, weight, mut) -> tuple[np.ndarray, np.ndarray]:
     """One particle i -> j at rate ``weight * K_i * (K_j + mut)``, every ordered pair."""
     i, j, deltas = _ordered_pairs(K.shape[1])
-    return deltas, weight * K[:, i] * (K[:, j] + mut)
+    # both factors formed once per site, then gathered move by move into
+    # (moves, states) rows, which the generator build reads without a copy
+    out, into = (weight * K).T, (K + mut).T
+    return deltas, (out[i] * into[j]).T
 
 
 @dataclass(frozen=True)
@@ -686,8 +698,9 @@ class GeneratorMatrix:
 
     ``Q`` is a ``scipy.sparse.csr_array`` with sorted column indices, the
     positive off-diagonal rates and the diagonal stored in every row, the
-    diagonal being minus the correctly rounded sum of the row's rates.  Call
-    ``Q.toarray()`` where a dense copy is needed.
+    diagonal being minus the correctly rounded sum of the row's rates.  Its
+    ``indices`` and ``indptr`` are read-only: builds that store the same
+    entries share them.  Call ``Q.toarray()`` where a dense copy is needed.
     """
 
     Q: sparse.csr_array
@@ -708,8 +721,10 @@ def _physical_memory() -> int | None:
 
 
 # bytes of one build per (state, move) pair, the diagonal counted as a move:
-# the rates, codes, masks and CSR arrays together peak at 47-54 (traced with
-# tracemalloc on chains of 500 to 6,000 states)
+# the rates, codes, masks, plan and CSR arrays together peak at 32-53 on a
+# window's first build and 27-48 on one that reuses its plan (traced with
+# tracemalloc on SIP, Moran, stepping-stone, block-counting and moment-dual
+# chains of 560 to 6,000 states)
 _BUILD_BYTES = 64
 # moves per model, by its ``moves`` function and its (frozen) fields: the
 # count sizes the memory guard, and counting costs a ``moves`` call; the
@@ -718,20 +733,66 @@ _MOVE_COUNTS_HELD = 256
 _move_counts: dict[tuple[Callable, JumpModel], int] = {}
 
 
-def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """The model's moves over ``index``: rates (n, m) in ``num``, target columns (n, m) and the stay.
+class _CsrPlan(NamedTuple):
+    """The rate-free part of a float build: where its stored entries go in the CSR arrays.
+
+    ``mask`` (n, L) marks the stored entries; ``gather`` holds their
+    positions in the rates' column-major order, in CSR order; ``indices``
+    and ``indptr`` are the CSR arrays.  All four are read-only.
+    """
+
+    mask: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+@dataclass(eq=False)
+class _Targets:
+    """A window's targets under one move layout, and the CSR plan of its latest float build.
+
+    ``cols`` (n, L) holds the position of each target among the window's
+    states, or -1 for a target outside it; ``outside`` holds the positions
+    of the -1s in column-major order.  ``ordered`` says whether the states
+    are listed in lexicographic order.  Only ``plan`` changes: a build that
+    stores other entries than it was made for replaces it.
+    """
+
+    cols: np.ndarray
+    outside: np.ndarray
+    ordered: bool
+    plan: _CsrPlan | None = None
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.cols, self.outside) + (() if self.plan is None else tuple(self.plan))
+        return sum(a.nbytes for a in arrays)
+
+
+def _targets(states: np.ndarray, layout: np.ndarray) -> _Targets:
+    cols, ordered = _target_columns(states, layout)
+    cols = np.asfortranarray(cols, dtype=np.int32)
+    outside = np.flatnonzero(cols.ravel(order="F") < 0)
+    cols.flags.writeable = outside.flags.writeable = False
+    return _Targets(cols, outside, ordered)
+
+
+def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, _Targets, tuple | None, int]:
+    """The model's moves over ``index``: rates (n, L) in ``num``, their targets, their memo key and the stay.
 
     There is one column per distinct delta, in lexicographic order, the
     zero delta (staying put, column ``stay``) included, so each row of a
-    lexicographically ordered index (the returned flag) lists its targets
-    by column.  Moves with one delta add up in move order.  A rate is zero
-    where no move is taken: the model's rates are not positive, the target
-    leaves the window, or the column is the stay.
+    lexicographically ordered index lists its targets by column.  Moves
+    with one delta add up in move order.  A rate is zero where no move is
+    taken: the model's rates are not positive, the target leaves the
+    window, or the column is the stay.  The rates are column-major, one
+    contiguous column per move.  The targets of an enumerated window are
+    memoised under the key returned, which is None for any other index.
     """
     states = index.array
     n, d = states.shape
-    key = (type(spec).moves, spec)
-    count = _move_counts.get(key)
+    model = (type(spec).moves, spec)
+    count = _move_counts.get(model)
     if count is None:
         # the moves of an empty block count the moves before any (state, move) array exists
         count = len(spec.moves(states[:0])[0])
@@ -743,71 +804,85 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
             f"more than the {memory} bytes of physical memory"
         )
     # kept once a build is admitted, so only models that are built are held
-    _move_counts[key] = count
+    _move_counts[model] = count
     if len(_move_counts) > _MOVE_COUNTS_HELD:
         del _move_counts[next(iter(_move_counts))]
     deltas, rates = spec.moves(states if num is float else states.astype(object), num)
-    layout, (columns, firsts), repeats, stay = _columns(tuple(map(tuple, deltas.tolist())), d)
-    taken = np.where(rates > 0, rates, num(0))
-    merged = np.full((n, len(layout)), num(0), dtype=taken.dtype)
-    merged[:, list(columns)] = taken[:, list(firsts)]
+    layout, columns, firsts, repeats, stay = _columns(np.asarray(deltas, dtype=np.int64).tobytes(), d)
+    # (moves, states): the models build their rates move by move, so each
+    # row is contiguous and copies as one block
+    moves = rates.T
+    zero = num(0)
+    merged = np.full((len(layout), n), zero, dtype=float if num is float else object)
+    merged[columns] = moves[firsts]
+    # fmax takes a rate that is not positive, NaN included, to zero
+    np.fmax(merged, zero, out=merged)
     for k, c in repeats:
-        merged[:, k] += taken[:, c]
+        merged[k] += np.fmax(moves[c], zero)
     window = ("states", index.d, index.N, index.mode)
     if _memo.get(window, (None,))[0] is index:
         # an enumerated window: its targets depend on the deltas alone
-        cols, ordered = _memoised(
-            window + (layout.tobytes(),), lambda: _target_columns(states, layout), lambda value: value[0].nbytes
-        )
+        key = window + (layout.tobytes(),)
+        targets = _memoised(key, lambda: _targets(states, layout), lambda value: value.nbytes)
     else:
-        cols, ordered = _target_columns(states, layout)
-    merged[cols < 0] = num(0)
-    return merged, cols, stay, ordered
+        key, targets = None, _targets(states, layout)
+    merged.ravel()[targets.outside] = zero
+    return merged.T, targets, key, stay
 
 
 @lru_cache(maxsize=256)
-def _columns(deltas: tuple[tuple[int, ...], ...], d: int) -> tuple[np.ndarray, tuple, tuple, int]:
-    """The columns of a move set: its distinct deltas and the zero one, in lexicographic order.
+def _columns(deltas: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice, tuple, int]:
+    """The columns of a move set, given as the bytes of its (m, d) int64 deltas.
 
-    Returns the columns' deltas; the column of each delta's first move and
-    that move, as two tuples; each later move with a repeated delta as
-    (column, move); and the zero delta's column.
+    The columns are the distinct deltas and the zero one, in lexicographic
+    order.  Returns the columns' deltas; the column of each delta's first
+    move and that move, as two index arrays (the second a full slice when
+    no delta repeats); each later move with a repeated delta as (column,
+    move); and the zero delta's column.
     """
+    moves = list(map(tuple, np.frombuffer(deltas, dtype=np.int64).reshape(-1, d).tolist()))
     stay = (0,) * d
-    layout = sorted(set(deltas) | {stay})
+    layout = sorted(set(moves) | {stay})
     column = {delta: k for k, delta in enumerate(layout)}
     first: dict[int, int] = {}
     repeats = []
-    for c, delta in enumerate(deltas):
+    for c, delta in enumerate(moves):
         k = column[delta]
         if k in first:
             repeats.append((k, c))
         else:
             first[k] = c
     layout = np.array(layout, dtype=np.int64)
-    layout.flags.writeable = False
-    return layout, (tuple(first), tuple(first.values())), tuple(repeats), column[stay]
+    columns, firsts = np.array(list(first), dtype=np.intp), np.array(list(first.values()), dtype=np.intp)
+    for a in (layout, columns, firsts):
+        a.flags.writeable = False
+    return layout, columns, firsts if repeats else slice(None), tuple(repeats), column[stay]
 
 
 def _row_sums(rates: np.ndarray) -> np.ndarray:
-    """Each row's sum correctly rounded, as ``math.fsum`` gives it.
+    """Each row's sum of non-negative rates, correctly rounded, as ``math.fsum`` gives it.
 
-    The left-to-right sum is exact, so correctly rounded, in every row
-    where none of its additions rounds (TwoSum's error term is zero); the
-    rows where one does go through ``fsum``.  Where no row has more than
-    two nonzero rates, each sum has at most one rounded addition and is
-    returned without the scan: every two-move chain.  Both add on the
-    (moves, states) transpose, one contiguous row across all states at a time.
+    A sum in which no addition rounds is exact, in any order.  No addition
+    can round where every rate is an integer multiple of 2**-s and each
+    row's sum is below 2**(53 - s): every partial sum is then such a
+    multiple, so a float (:func:`_cannot_round` tests this).  Nor can a sum
+    round twice where no row has more than two nonzero rates, which is
+    tested where there are at most three columns: every two-move chain,
+    with its stay.  Otherwise the left-to-right sum is taken, and the rows
+    where one of its additions rounds (TwoSum's error term is not zero) go
+    through ``fsum``.  All add on the (moves, states) transpose, one
+    contiguous row across all states at a time.
     """
     moves = np.ascontiguousarray(rates.T)
+    out = np.add.reduce(moves)
+    if (len(moves) <= 3 and (moves != 0).sum(axis=0).max(initial=0) <= 2) or _cannot_round(moves, out):
+        return out
     total = moves.copy()
     # one move at a time: np.cumsum(moves, axis=0) adds in the same order,
     # but accumulates state by state and took 1.3-1.7x as long at 496 to
     # 1,771 states (numpy 2.4)
     for k in range(1, len(total)):
         total[k] += total[k - 1]
-    if (moves != 0).sum(axis=0).max(initial=0) <= 2:
-        return total[-1]
     prev, new, s = total[:-1], moves[1:], total[1:]
     back = s - prev
     rounded = ((prev - (s - back)) + (new - back)).any(axis=0)
@@ -815,6 +890,23 @@ def _row_sums(rates: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(rounded).tolist():
         out[i] = fsum(rates[i].tolist())
     return out
+
+
+def _cannot_round(rates: np.ndarray, sums: np.ndarray) -> bool:
+    """Whether, for some s, every rate is an integer multiple of 2**-s and every sum is below 2**(53 - s).
+
+    The rates are non-negative and ``sums`` are their float sums, added in
+    any order: once an addition rounds, its sum is at least 2**(53 - s), and
+    so is every later one.  The sums bound s, and the largest s they allow
+    is taken: the rates are multiples of 2**-s if they are for any smaller
+    s.  Sums of 2**53 or more, or below 2**-900, are not tested.
+    """
+    top = float(sums.max(initial=0.0))
+    e = frexp(top)[1]  # top < 2**e
+    if not (isfinite(top) and -900 <= e <= 53):
+        return False
+    scaled = rates * 2.0 ** (53 - e)
+    return bool((np.floor(scaled) == scaled).all())
 
 
 def generator_matrix(
@@ -834,27 +926,49 @@ def generator_matrix(
     target outside the window is dropped.  Each row stores its rates and
     its diagonal, minus the correctly rounded sum of the rates, sorted by
     column.  No per-state Python loop runs and no n x n array is
-    allocated.  A build whose (state, move) arrays would exceed physical
-    memory raises a ``ValueError`` before any of them is allocated.
+    allocated.  An enumerated window keeps, with its targets, the rate-free
+    plan of the CSR arrays: which entries are stored, where each one goes,
+    and ``indices`` and ``indptr``, which the matrix shares read-only.  A
+    build that stores the same entries as the plan's takes it as it is and
+    only gathers its rates into ``data``.  A build whose (state, move)
+    arrays would exceed physical memory raises a ``ValueError`` before any
+    of them is allocated.
     """
     spec = _jump_model(spec)
     if index is None:
         index = spec.index(truncation)
-    rates, cols, stay, ordered = _window_moves(spec, index, float)
+    rates, targets, key, stay = _window_moves(spec, index, float)
     n = len(index)
-    rates[:, stay] = -_row_sums(rates)
     stored = rates > 0
     stored[:, stay] = True
-    data, indices = rates[stored], cols[stored]
-    counts = stored.sum(axis=1)
-    if not ordered:
-        # rows of a lexicographic index come sorted by column; others are sorted here
-        order = np.argsort(np.repeat(np.arange(n) * n, counts) + indices)
-        data, indices = data[order], indices[order]
+    rates[:, stay] = -_row_sums(rates)
+    plan = targets.plan
+    if plan is None or not np.array_equal(stored, plan.mask):
+        plan = targets.plan = _csr_plan(stored, targets)
+        if key in _memo:
+            # the plan's bytes count against the memo's budget
+            _keep(key, targets, targets.nbytes)
+    data = rates.ravel(order="F").take(plan.gather)
+    return GeneratorMatrix(Q=sparse.csr_array((data, plan.indices, plan.indptr), shape=(n, n)), index=index)
+
+
+def _csr_plan(stored: np.ndarray, targets: _Targets) -> _CsrPlan:
+    """The CSR plan of the entries ``stored`` marks, over the window of ``targets``."""
+    n = len(stored)
+    # nonzero lists the entries row by row, each row's by column
+    rows, columns = np.nonzero(stored)
+    gather = columns * n + rows
+    indices = targets.cols.ravel(order="F")[gather]
+    if not targets.ordered:
+        # rows of a lexicographic index come sorted by target; others are sorted here
+        order = np.argsort(rows * n + indices)
+        gather, indices = gather[order], indices[order]
     indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = counts.cumsum()
-    Q = sparse.csr_array((data, indices.astype(np.int32), indptr), shape=(n, n))
-    return GeneratorMatrix(Q=Q, index=index)
+    indptr[1:] = np.bincount(rows, minlength=n).cumsum()
+    plan = _CsrPlan(stored, gather, indices, indptr)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def rational_generator(spec: JumpModel, truncation: int | None = None) -> tuple[np.ndarray, int]:
@@ -867,13 +981,13 @@ def rational_generator(spec: JumpModel, truncation: int | None = None) -> tuple[
     """
     spec = _jump_model(spec)
     index = spec.index(truncation)
-    rates, cols, _, _ = _window_moves(spec, index, Fraction)
+    rates, targets, _, _ = _window_moves(spec, index, Fraction)
     ints, den = _scaled(rates)
     n = len(index)
     Q = np.zeros((n, n), dtype=object)
     # a row's moves have distinct targets; a rate not taken is zero
     taken = ints != 0
-    Q[taken.nonzero()[0], cols[taken]] = ints[taken]
+    Q[taken.nonzero()[0], targets.cols[taken]] = ints[taken]
     np.fill_diagonal(Q, -ints.sum(axis=1))
     return Q, den
 

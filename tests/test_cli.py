@@ -56,11 +56,27 @@ class TestExitCodes:
     def test_seed_flag_rejected_without_seed_key(self, tmp_path):
         assert run_cli(tmp_path, "reproduce-examples", None, extra=["--seed", "5"]) == 2
 
-    def test_runtime_failure_is_one(self, tmp_path):
-        cfg = dict(FAST_MC)
-        cfg["experiment"] = "wf-vs-moran"
-        cfg["frozen"] = "1,1"  # does not sum to N=3
-        assert run_cli(tmp_path, "run-mc", cfg) == 1
+    def test_runtime_failure_is_one(self, tmp_path, capsys, monkeypatch):
+        def runner(cfg):
+            raise ValueError("the run broke")
+
+        monkeypatch.setitem(cli.RUNNERS, "check-algebra", (runner, cli.CHECK_COLUMNS))
+        assert run_cli(tmp_path, "check-algebra") == 1
+        assert capsys.readouterr().err == "runtime failure: the run broke\n"
+        assert "runtime failure: ValueError('the run broke')" in (tmp_path / "out" / "run.log").read_text()
+
+    @pytest.mark.parametrize("frozen", ["1,1", "3", "1,1,1", "a,b"])
+    def test_frozen_counts_are_config_error(self, tmp_path, capsys, frozen):
+        # wf-vs-moran's frozen counts must sum to N = 3; this was checked at
+        # run time, after run.log was opened, and exited 1
+        assert run_cli(tmp_path, "run-mc", dict(FAST_MC, experiment="wf-vs-moran", frozen=frozen)) == 2
+        assert capsys.readouterr().err == "config error: frozen must list both type counts and sum to N\n"
+        assert not (tmp_path / "out" / "run.log").exists()
+
+    def test_frozen_counts_bind_only_wf_vs_moran(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "heterozygosity", "frozen": "1,1"}))
+        assert cli.resolve_config("run-mc", str(path), None)["frozen"] == "1,1"
 
     def test_out_path_that_is_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -664,7 +664,8 @@ class TestFloatFingerprints:
     change to a generator's float bits fails here.
     """
 
-    def test_generators_match_golden_hashes(self):
+    @staticmethod
+    def _moved():
         moved = []
         for entry in GENERATOR_GOLDEN["generators"]:
             spec = getattr(processes, entry["factory"])(**entry["kwargs"])
@@ -672,8 +673,19 @@ class TestFloatFingerprints:
             assert len(gen.index) == entry["states"]
             if _sha256(gen.Q.toarray()) != entry["sha256"]:
                 moved.append((entry["factory"], entry["kwargs"], entry["truncation"]))
+        return moved
+
+    def test_generators_match_golden_hashes(self):
         assert len(GENERATOR_GOLDEN["generators"]) == 150
-        assert moved == []
+        assert self._moved() == []
+
+    def test_generators_match_golden_hashes_with_nothing_memoised(self, monkeypatch):
+        # every window, target table and CSR plan is built afresh and dropped
+        monkeypatch.setattr(processes, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(processes, "_memo_bytes", 0)
+        monkeypatch.setattr(processes, "_MEMO_BYTES", 0)
+        assert self._moved() == []
+        assert not processes._memo
 
     def test_falling_factorial_matrix_matches_golden_hashes(self):
         hashes = GENERATOR_GOLDEN["falling_factorial_matrix"]
@@ -1018,3 +1030,113 @@ class TestWindowMemo:
         assert ("states", 3, 5, "conserved") not in processes._memo
         gen = generator_matrix(sip(3, 1.0), 5)
         TestBatchedAssembly._assert_matches_rates(sip(3, 1.0), gen.index, gen)
+
+
+def _unmemoised(build):
+    """``build()`` with nothing memoised before it or kept after it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "_memo", collections.OrderedDict())
+        mp.setattr(processes, "_memo_bytes", 0)
+        mp.setattr(processes, "_MEMO_BYTES", 0)
+        return build()
+
+
+def _csr_bytes(gen):
+    Q = gen.Q
+    return Q.shape, Q.data.tobytes(), Q.indices.dtype, Q.indices.tobytes(), Q.indptr.dtype, Q.indptr.tobytes()
+
+
+class TestCsrPlan:
+    """Builds on one window share a rate-free CSR plan while they store the same entries."""
+
+    def test_alternating_stored_entries_rebuild_the_plan(self, monkeypatch):
+        monkeypatch.setattr(processes, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(processes, "_memo_bytes", 0)
+        # at m = 0 a particle never jumps onto an empty site, so m = 0 stores
+        # fewer entries than m = 1 on the same window
+        nnz = set()
+        for spec in [sip(3, 0.0), sip(3, 1.0)] * 3:
+            gen = generator_matrix(spec, 6)
+            assert _csr_bytes(gen) == _csr_bytes(_unmemoised(lambda: generator_matrix(spec, 6)))
+            nnz.add(gen.Q.nnz)
+        assert len(nnz) == 2
+        (key,) = [key for key in processes._memo if key[:4] == ("states", 3, 6, "conserved") and len(key) == 5]
+        targets, size = processes._memo[key]
+        assert targets.plan is not None and size == targets.nbytes
+        assert processes._memo_bytes == sum(size for _, size in processes._memo.values())
+
+    def test_index_override_in_any_order(self):
+        lexicographic = enumerate_states(3, 6)
+        perm = np.random.default_rng(3).permutation(len(lexicographic))
+        index = processes.StateIndex(d=3, N=6, mode="conserved", array=lexicographic.array[perm])
+        for spec in [sip(3, 0.0), sip(3, 1.0)] * 2:
+            gen = generator_matrix(spec, index=index)
+            assert _csr_bytes(gen) == _csr_bytes(_unmemoised(lambda: generator_matrix(spec, index=index)))
+            TestBatchedAssembly._assert_matches_rates(spec, index, gen)
+
+    def test_equal_stored_entries_share_the_read_only_pattern(self):
+        a, b = generator_matrix(sip(4, 1.0), 5), generator_matrix(sip(4, 3.0), 5)
+        assert np.shares_memory(a.Q.indices, b.Q.indices) and np.shares_memory(a.Q.indptr, b.Q.indptr)
+        assert not a.Q.indices.flags.writeable and not a.Q.indptr.flags.writeable
+        assert not np.shares_memory(a.Q.data, b.Q.data) and a.Q.data.flags.writeable
+        with pytest.raises(ValueError):
+            a.Q.indices[0] = 1
+
+
+class TestRowSums:
+    """``_row_sums`` gives each row's correctly rounded sum, as ``math.fsum`` does."""
+
+    @staticmethod
+    def _assert_fsum_bits(rates):
+        got = processes._row_sums(rates)
+        want = np.array([math.fsum(row) for row in rates.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.integers(-4, 80),
+        rows=st.lists(
+            st.tuples(st.integers(-12, 2), st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(0, 6)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_dyadic_rates_about_the_bound(self, s, rows):
+        # rates on multiples of 2**-s: one near 2**(53 - s) and a few small
+        # ones, so a row's total sits just below or just above the bound,
+        # past which several of its additions can round
+        width = 1 + max(len(small) for _, small, _ in rows)
+        rates = np.zeros((len(rows), width))
+        for i, (offset, small, at) in enumerate(rows):
+            units = list(small)
+            units.insert(at % (len(units) + 1), 2**53 + offset)
+            rates[i, : len(units)] = np.ldexp(np.array(units, dtype=float), -s)
+        self._assert_fsum_bits(rates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s=st.integers(0, 60),
+        rates=st.lists(st.lists(st.integers(0, 2**20), min_size=3, max_size=3), min_size=1, max_size=5),
+    )
+    def test_small_dyadic_rates(self, s, rates):
+        self._assert_fsum_bits(np.ldexp(np.array(rates, dtype=float), -s))
+
+    def test_a_row_that_rounds_goes_through_fsum(self, monkeypatch):
+        calls = []
+
+        def fsum(values):
+            calls.append(values)
+            return math.fsum(values)
+
+        monkeypatch.setattr(processes, "fsum", fsum)
+        # the left-to-right sum loses both ones; the correctly rounded sum keeps them
+        rates = np.array([[2.0**53, 1.0, 1.0], [0.5, 1.5, 2.0]])
+        assert processes._row_sums(rates).tolist() == [2.0**53 + 2, 4.0]
+        assert calls == [[2.0**53, 1.0, 1.0]]
+
+    def test_the_scan_is_skipped_where_no_addition_can_round(self):
+        # every rate of the m = 1 inclusion process is a half-integer
+        rates = processes._window_moves(sip(4, 1.0), enumerate_states(4, 20), float)[0]
+        assert processes._cannot_round(rates.T, np.add.reduce(rates.T))
+        rates = processes._window_moves(kingman_block(0.3, 0.2, 50), enumerate_states(1, 50, "down-closed"), float)[0]
+        assert not processes._cannot_round(rates.T, np.add.reduce(rates.T))
