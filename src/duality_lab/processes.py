@@ -484,9 +484,10 @@ def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _inclusion_moves(K: np.ndarray, weight, mut) -> tuple[np.ndarray, np.ndarray]:
     """One particle i -> j at rate ``weight * K_i * (K_j + mut)``, every ordered pair."""
     i, j, deltas = _ordered_pairs(K.shape[1])
-    # both factors formed once per site, then gathered move by move into
-    # (moves, states) rows, which the generator build reads without a copy
-    out, into = (weight * K).T, (K + mut).T
+    # both factors formed once per site as contiguous (sites, states) rows,
+    # then gathered move by move into (moves, states) rows, which the
+    # generator build reads without a copy
+    out, into = np.multiply(weight, K.T, order="C"), np.add(K.T, mut, order="C")
     return deltas, (out[i] * into[j]).T
 
 
