@@ -679,13 +679,9 @@ class TestFloatFingerprints:
         assert len(GENERATOR_GOLDEN["generators"]) == 150
         assert self._moved() == []
 
-    def test_generators_match_golden_hashes_with_nothing_memoised(self, monkeypatch):
+    def test_generators_match_golden_hashes_with_nothing_memoised(self):
         # every window, target table and CSR plan is built afresh and dropped
-        monkeypatch.setattr(processes, "_memo", collections.OrderedDict())
-        monkeypatch.setattr(processes, "_memo_bytes", 0)
-        monkeypatch.setattr(processes, "_MEMO_BYTES", 0)
-        assert self._moved() == []
-        assert not processes._memo
+        assert _unmemoised(self._moved) == []
 
     def test_falling_factorial_matrix_matches_golden_hashes(self):
         hashes = GENERATOR_GOLDEN["falling_factorial_matrix"]
