@@ -103,6 +103,11 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip() != "")
 
 
+def _entries(value) -> tuple:
+    """The entries of a list key, or a numeric key's value alone."""
+    return _floats(value) if isinstance(value, str) else (value,)
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip() != "")
 
@@ -435,16 +440,23 @@ RUNNERS = {
 }
 
 # the smallest value of each numeric key; below it a suite dies on an empty
-# array, passes with its checks gone, or loosens its own verdict
+# array, passes with its checks gone, loosens its own verdict, or builds a
+# model or estimator that refuses it
 _MINIMA: dict[str, dict[str, float]] = {
     "check-algebra": {"order": 2, "finite_N": 1, "binomial_N": 1, "seed": 0},
-    "check-exact": {"rational_N_max": 2, "float_N_max": 2, "self_dual_N_max": 2, "wf_moran_N": 1},
-    "check-pointwise": {"max_degree": 0},
-    "run-mc": {"seed": 0, "n": 1, "tolerance_multiplier": 0.0, "bias_budget_dt_multiple": 0.0},
-    "reproduce-examples": {"d": 2},
+    "check-exact": {"rational_N_max": 2, "float_N_max": 2, "self_dual_N_max": 2, "wf_moran_N": 1, "semigroup_times": 0.0},
+    "check-pointwise": {"max_degree": 0, "theta": 0.0, "sigma": 0.0},
+    "run-mc": {"seed": 0, "n": 1, "N": 1, "n_paths": 100, "tolerance_multiplier": 0.0, "bias_budget_dt_multiple": 0.0},
+    "reproduce-examples": {"d": 2, "t": 0.0},
 }
-# keys that must be strictly positive: at t = 0 run-mc compares the start with itself
-_POSITIVE: dict[str, tuple[str, ...]] = {"run-mc": ("t",)}
+# keys that must be strictly positive: at t = 0 run-mc compares the start
+# with itself, and at theta or m = 0 the gamma weights of the dualities are
+# undefined
+_POSITIVE: dict[str, tuple[str, ...]] = {
+    "check-algebra": ("m",),
+    "check-exact": ("theta", "m_values"),
+    "run-mc": ("t", "dt", "theta"),
+}
 # string keys that must name one of the listed choices
 _CHOICES: dict[str, dict[str, tuple[str, ...]]] = {
     "run-mc": {"experiment": ("heterozygosity", "wf-vs-moran", "wf-moment-vs-kingman")},
@@ -475,11 +487,13 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
 
     Every value the file sets must have the JSON type of the key's default:
     a boolean, an integer that is not a boolean, a finite number (stored as
-    a float) or a string.  Keys with a floor in ``_MINIMA`` must reach it,
-    keys in ``_POSITIVE`` must exceed zero, keys in ``_CHOICES`` must name
-    one of their choices, and the lists in ``_NONEMPTY_LISTS`` must name a
-    number.  The wf-vs-moran run's ``frozen`` must list two type counts
-    summing to ``N``.  Anything else raises ``ValueError`` naming the key.
+    a float) or a string.  Keys in ``_CHOICES`` must name one of their
+    choices, the lists in ``_NONEMPTY_LISTS`` must name a number, keys with
+    a floor in ``_MINIMA`` must reach it and keys in ``_POSITIVE`` must
+    exceed zero, a list in each of its entries.  A ``run-mc`` step ``dt``
+    must be below ``t``, antithetic pairs need an even ``n_paths``, and
+    the wf-vs-moran run's ``frozen`` must list two type counts summing to
+    ``N``.  Anything else raises ``ValueError`` naming the key.
     """
     cfg = dict(DEFAULTS[command])
     if config_path is not None:
@@ -495,12 +509,6 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
         if "seed" not in cfg:
             raise ValueError(f"{command} takes no seed")
         cfg["seed"] = int(seed)
-    for key, least in _MINIMA.get(command, {}).items():
-        if cfg[key] < least:
-            raise ValueError(f"config key {key!r} must be at least {least}, not {cfg[key]}")
-    for key in _POSITIVE.get(command, ()):
-        if cfg[key] <= 0:
-            raise ValueError(f"config key {key!r} must be positive, not {cfg[key]}")
     for key, choices in _CHOICES.get(command, {}).items():
         if cfg[key] not in choices:
             raise ValueError(f"config key {key!r} must be one of {', '.join(choices)}, not {cfg[key]!r}")
@@ -511,13 +519,24 @@ def resolve_config(command: str, config_path: str | None, seed: int | None) -> d
             values = ()
         if not values:
             raise ValueError(f"config key {key!r} must list at least one number, not {cfg[key]!r}")
-    if command == "run-mc" and cfg["experiment"] == "wf-vs-moran":
-        try:
-            frozen = _ints(cfg["frozen"])
-        except ValueError:
-            frozen = ()
-        if len(frozen) != 2 or sum(frozen) != cfg["N"]:
-            raise ValueError("frozen must list both type counts and sum to N")
+    for key, least in _MINIMA.get(command, {}).items():
+        if not all(v >= least for v in _entries(cfg[key])):
+            raise ValueError(f"config key {key!r} must be at least {least}, not {cfg[key]}")
+    for key in _POSITIVE.get(command, ()):
+        if not all(v > 0 for v in _entries(cfg[key])):
+            raise ValueError(f"config key {key!r} must be positive, not {cfg[key]}")
+    if command == "run-mc":
+        if cfg["dt"] >= cfg["t"]:
+            raise ValueError(f"config key 'dt' must be below t = {cfg['t']}, not {cfg['dt']}")
+        if cfg["antithetic"] and cfg["n_paths"] % 2:
+            raise ValueError(f"config key 'n_paths' must be even for antithetic pairs, not {cfg['n_paths']}")
+        if cfg["experiment"] == "wf-vs-moran":
+            try:
+                frozen = _ints(cfg["frozen"])
+            except ValueError:
+                frozen = ()
+            if len(frozen) != 2 or sum(frozen) != cfg["N"]:
+                raise ValueError("frozen must list both type counts and sum to N")
     return cfg
 
 

@@ -47,8 +47,6 @@ __all__ = [
     "EvalPoint",
     "evaluate",
     "evaluate_at",
-    "cheap_self_duality",
-    "transform_by_symmetry",
     "KINDS",
 ]
 
@@ -407,33 +405,30 @@ def DualityFamily(kind: str, N: int | None = None, m: float | None = None, theta
     return _BUILDERS[kind](**given)
 
 
-def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
+def evaluate(family, p: EvalPoint) -> float:
     """Evaluate one duality function at a point of the product space.
 
-    ``method`` is ``auto`` (direct unless a factor leaves the safe double
-    range), ``direct``, or ``log``.
+    The factors are multiplied directly, unless a factor leaves the safe
+    double range; then the product is taken in log space.
     """
     factors = family.factors(p)
-    if method not in ("auto", "direct", "log"):
-        raise ValueError("method must be auto, direct or log")
-    if method != "log":
-        risky = False
-        out = 1.0
-        for base, power in factors:
-            try:
-                raw = base**power
-            except OverflowError:
-                if method == "direct":
-                    raise
-                risky = True
-                break
-            # outside the safe range, an over- or underflowed power; an exact
-            # zero (of a zero base) and a NaN are not
-            if not _UNDERFLOW <= abs(raw) <= _OVERFLOW and (raw == raw if raw != 0.0 else base != 0.0):
-                risky = True
-            out *= raw
-        if method == "direct" or not risky:
-            return out
+    risky = False
+    out = 1.0
+    for base, power in factors:
+        try:
+            raw = base**power
+        except OverflowError:
+            return _log_product(factors)
+        # outside the safe range, an over- or underflowed power; an exact
+        # zero (of a zero base) and a NaN are not
+        if not _UNDERFLOW <= abs(raw) <= _OVERFLOW and (raw == raw if raw != 0.0 else base != 0.0):
+            risky = True
+        out *= raw
+    return _log_product(factors) if risky else out
+
+
+def _log_product(factors) -> float:
+    """The product of ``base**power`` over ``factors``, summed in log space."""
     sign = 1.0
     total = 0.0
     for base, power in factors:
@@ -456,36 +451,3 @@ def evaluate(family, p: EvalPoint, *, method: str = "auto") -> float:
 def evaluate_at(family, continuous: Sequence[float], discrete: Sequence[int]) -> float:
     """Convenience wrapper building the :class:`EvalPoint` in place."""
     return evaluate(family, EvalPoint(tuple(map(float, continuous)), tuple(map(int, discrete))))
-
-
-def cheap_self_duality(mu: np.ndarray) -> np.ndarray:
-    """Diagonal self-duality matrix ``delta_{x,y} / mu(x)`` of a reversible chain.
-
-    Valid for any generator reversible with respect to the strictly positive
-    probability vector ``mu``, by detailed balance.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValueError("mu must be a non-empty vector")
-    if np.any(mu <= 0):
-        raise ValueError("mu must be strictly positive")
-    if abs(mu.sum() - 1.0) > 1e-12:
-        raise ValueError("mu must sum to one")
-    return np.diag(1.0 / mu)
-
-
-def transform_by_symmetry(S, D: np.ndarray) -> np.ndarray:
-    """Left action of a symmetry on a duality matrix, ``S @ D``, as an ndarray.
-
-    ``S`` is any operator with ``.shape`` and ``@``: a dense array or a
-    sparse matrix such as a generator's CSR ``Q`` (a generator commutes
-    with itself).  When ``S`` commutes with the left generator the product
-    is again an intertwiner for the same pair; pair with
-    ``check_intertwiner`` to confirm.
-    """
-    if not hasattr(S, "shape"):
-        S = np.asarray(S, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if S.shape[1] != D.shape[0]:
-        raise ValueError("dimension mismatch in S @ D")
-    return np.asarray(S @ D, dtype=float)

@@ -377,13 +377,9 @@ def check_generator_duality(
     D: np.ndarray,
     *,
     name: str = "K vs K_hat",
-    rows: slice = slice(None),
-    cols: slice = slice(None),
 ) -> ResidualReport:
     """Matrix duality check ``K D = D K_hat^T`` with a process-pair label."""
-    return check_intertwiner(
-        _as_matrix(K), _as_matrix(K_hat), D, rows=rows, cols=cols, identity=name
-    )
+    return check_intertwiner(_as_matrix(K), _as_matrix(K_hat), D, identity=name)
 
 
 # ---------------------------------------------------------------------------

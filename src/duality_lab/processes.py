@@ -214,23 +214,19 @@ def _codes(states: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return own_a * size_b + own_b, np.where((code_a >= 0) & (code_b >= 0), code_a * size_b + code_b, -1)
 
 
-def _target_columns(states: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, bool]:
+def _target_columns(states: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Position of ``states[i] + deltas[c]`` among the rows of ``states`` (n, m), or -1.
 
-    The codes of :func:`_codes` are looked up with ``searchsorted`` among
-    the states' codes, in whatever order the states are listed, so a target
-    outside the window, negative or too-large coordinates included, is
-    never aliased to a state.  The flag says whether the states are listed
-    in increasing code order, which is lexicographic order.
+    The states are listed in lexicographic order, which is increasing code
+    order, as :func:`enumerate_states` lists them.  The codes of
+    :func:`_codes` are looked up with ``searchsorted`` among the states'
+    codes, so a target outside the window, negative or too-large
+    coordinates included, is never aliased to a state.
     """
     own, code = _codes(states, deltas)
-    ordered = bool((own[1:] > own[:-1]).all())
-    order = None if ordered else np.argsort(own)
-    ranked = own if ordered else own[order]
     # a code past the last state lands on it, and fails the comparison
-    hit = np.searchsorted(ranked[:-1], code)
-    found = ranked[hit] == code
-    return np.where(found, hit if ordered else order[hit], -1), ordered
+    hit = np.searchsorted(own[:-1], code)
+    return np.where(own[hit] == code, hit, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -754,14 +750,12 @@ class _Targets:
 
     ``cols`` (n, L) holds the position of each target among the window's
     states, or -1 for a target outside it; ``outside`` holds the positions
-    of the -1s in column-major order.  ``ordered`` says whether the states
-    are listed in lexicographic order.  Only ``plan`` changes: a build that
+    of the -1s in column-major order.  Only ``plan`` changes: a build that
     stores other entries than it was made for replaces it.
     """
 
     cols: np.ndarray
     outside: np.ndarray
-    ordered: bool
     plan: _CsrPlan | None = None
 
     @property
@@ -771,24 +765,24 @@ class _Targets:
 
 
 def _targets(states: np.ndarray, layout: np.ndarray) -> _Targets:
-    cols, ordered = _target_columns(states, layout)
-    cols = np.asfortranarray(cols, dtype=np.int32)
+    cols = np.asfortranarray(_target_columns(states, layout), dtype=np.int32)
     outside = np.flatnonzero(cols.ravel(order="F") < 0)
     cols.flags.writeable = outside.flags.writeable = False
-    return _Targets(cols, outside, ordered)
+    return _Targets(cols, outside)
 
 
-def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, _Targets, tuple | None, int]:
+def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.ndarray, _Targets, tuple, int]:
     """The model's moves over ``index``: rates (n, L) in ``num``, their targets, their memo key and the stay.
 
+    ``index`` is an enumerated window, listed in lexicographic order.
     There is one column per distinct delta, in lexicographic order, the
-    zero delta (staying put, column ``stay``) included, so each row of a
-    lexicographically ordered index lists its targets by column.  Moves
+    zero delta (staying put, column ``stay``) included, so each row lists
+    its targets by column.  Moves
     with one delta add up in move order.  A rate is zero where no move is
     taken: the model's rates are not positive, the target leaves the
     window, or the column is the stay.  The rates are column-major, one
-    contiguous column per move.  The targets of an enumerated window are
-    memoised under the key returned, which is None for any other index.
+    contiguous column per move.  The targets depend on the window and the
+    deltas alone, and are memoised under the key returned.
     """
     states = index.array
     n, d = states.shape
@@ -820,13 +814,8 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
     np.fmax(merged, zero, out=merged)
     for k, c in repeats:
         merged[k] += np.fmax(moves[c], zero)
-    window = ("states", index.d, index.N, index.mode)
-    if _memo.get(window, (None,))[0] is index:
-        # an enumerated window: its targets depend on the deltas alone
-        key = window + (layout.tobytes(),)
-        targets = _memoised(key, lambda: _targets(states, layout), lambda value: value.nbytes)
-    else:
-        key, targets = None, _targets(states, layout)
+    key = ("states", index.d, index.N, index.mode, layout.tobytes())
+    targets = _memoised(key, lambda: _targets(states, layout), lambda value: value.nbytes)
     merged.ravel()[targets.outside] = zero
     return merged.T, targets, key, stay
 
@@ -910,17 +899,12 @@ def _cannot_round(rates: np.ndarray, sums: np.ndarray) -> bool:
     return bool((np.floor(scaled) == scaled).all())
 
 
-def generator_matrix(
-    spec: JumpModel,
-    truncation: int | None = None,
-    index: StateIndex | None = None,
-) -> GeneratorMatrix:
-    """Sparse (CSR) generator of a jump-type process.
+def generator_matrix(spec: JumpModel, truncation: int | None = None) -> GeneratorMatrix:
+    """Sparse (CSR) generator of a jump-type process on ``spec.index(truncation)``.
 
     ``truncation`` bounds the state space of non-conserved chains (and names
     the conserved particle total for ``sip``).  A ``wf_general_1d`` model
-    yields its moment dual chain.  Pass ``index`` to override the state
-    enumeration, in any order, e.g. to scan conservation across sectors.
+    yields its moment dual chain.
 
     The model's ``moves`` runs once over the whole (n, d) block of states;
     each target is ranked among the states by a mixed-radix code and a
@@ -936,8 +920,7 @@ def generator_matrix(
     of them is allocated.
     """
     spec = _jump_model(spec)
-    if index is None:
-        index = spec.index(truncation)
+    index = spec.index(truncation)
     rates, targets, key, stay = _window_moves(spec, index, float)
     n = len(index)
     stored = rates > 0
@@ -956,14 +939,11 @@ def generator_matrix(
 def _csr_plan(stored: np.ndarray, targets: _Targets) -> _CsrPlan:
     """The CSR plan of the entries ``stored`` marks, over the window of ``targets``."""
     n = len(stored)
-    # nonzero lists the entries row by row, each row's by column
+    # nonzero lists the entries row by row, each row's by column, and the
+    # columns of a lexicographic window list each row's targets in order
     rows, columns = np.nonzero(stored)
     gather = columns * n + rows
     indices = targets.cols.ravel(order="F")[gather]
-    if not targets.ordered:
-        # rows of a lexicographic index come sorted by target; others are sorted here
-        order = np.argsort(rows * n + indices)
-        gather, indices = gather[order], indices[order]
     indptr = np.zeros(n + 1, dtype=np.int32)
     indptr[1:] = np.bincount(rows, minlength=n).cumsum()
     plan = _CsrPlan(stored, gather, indices, indptr)

@@ -73,6 +73,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: frozen must list both type counts and sum to N\n"
         assert not (tmp_path / "out" / "run.log").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            # each was refused by a model or the estimator at run time, after
+            # run.log was opened, and exited 1
+            ("run-mc", dict(FAST_MC, n_paths=99), "n_paths"),
+            ("run-mc", dict(FAST_MC, dt=0.0), "dt"),
+            ("run-mc", dict(FAST_MC, dt=0.2), "dt"),
+            ("run-mc", dict(FAST_MC, n_paths=401, antithetic=True), "n_paths"),
+            ("run-mc", dict(FAST_MC, experiment="wf-vs-moran", N=0, frozen="0,0"), "N"),
+            ("run-mc", dict(FAST_MC, experiment="wf-vs-moran", theta=-0.1), "theta"),
+            ("run-mc", dict(FAST_MC, experiment="wf-vs-moran", theta=0.0), "theta"),
+            ("check-exact", {"theta": -0.1}, "theta"),
+            ("check-exact", {"theta": 0.0}, "theta"),
+            ("check-exact", {"m_values": "1,0"}, "m_values"),
+            ("check-exact", {"m_values": "1,-1"}, "m_values"),
+            ("check-exact", {"semigroup_times": "0.1,-1"}, "semigroup_times"),
+            ("check-pointwise", {"theta": -0.1}, "theta"),
+            ("check-pointwise", {"sigma": -0.1}, "sigma"),
+            ("check-algebra", {"m": 0.0}, "m"),
+            ("reproduce-examples", {"t": -0.1}, "t"),
+        ],
+    )
+    def test_model_refusals_are_config_errors(self, tmp_path, capsys, command, config, key):
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert not (tmp_path / "out" / "run.log").exists()
+
     def test_frozen_counts_bind_only_wf_vs_moran(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": "heterozygosity", "frozen": "1,1"}))
@@ -207,7 +236,13 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize(
         "command, key, value",
-        [("check-algebra", "order", 2), ("check-exact", "float_N_max", 2), ("check-pointwise", "max_degree", 0)],
+        [
+            ("check-algebra", "order", 2),
+            ("check-exact", "float_N_max", 2),
+            ("check-pointwise", "max_degree", 0),
+            ("check-pointwise", "sigma", 0.0),
+            ("reproduce-examples", "t", 0.0),
+        ],
     )
     def test_floor_values_run(self, tmp_path, command, key, value):
         assert run_cli(tmp_path, command, {key: value}) == 0

@@ -460,12 +460,10 @@ class TestGeneratorDuality:
     def test_cheap_duality_from_reversibility(self):
         from scipy.linalg import null_space
 
-        from duality_lab.dualities import cheap_self_duality
-
         gen = processes.generator_matrix(processes.moran_multitype(3, 2, 0.4))
         mu = null_space(gen.Q.toarray().T)[:, 0]
         mu = mu / mu.sum()
-        rep = check_generator_duality(gen, gen, cheap_self_duality(mu))
+        rep = check_generator_duality(gen, gen, np.diag(1 / mu))
         assert rep.max_abs_residual <= 1e-10
 
 
