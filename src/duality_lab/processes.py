@@ -777,10 +777,9 @@ def _window_moves(spec: JumpModel, index: StateIndex, num: type) -> tuple[np.nda
     ``index`` is an enumerated window, listed in lexicographic order.
     There is one column per distinct delta, in lexicographic order, the
     zero delta (staying put, column ``stay``) included, so each row lists
-    its targets by column.  Moves
-    with one delta add up in move order.  A rate is zero where no move is
-    taken: the model's rates are not positive, the target leaves the
-    window, or the column is the stay.  The rates are column-major, one
+    its targets by column.  Moves with one delta add up in move order.  A
+    rate is zero where no move is taken: the model's rates are not
+    positive, the target leaves the window, or the column is the stay.  The rates are column-major, one
     contiguous column per move.  The targets depend on the window and the
     deltas alone, and are memoised under the key returned.
     """
